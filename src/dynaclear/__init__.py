@@ -19,14 +19,8 @@ from .analysis import (
     matching_ratio,
     waiting_ratio,
 )
-from .arrivals import Agent, PoissonStream, TapeSource, load_tape
-from .assignment import (
-    Assignment,
-    brute_force_k_assignment,
-    fcfs_pairs,
-    min_edge,
-    min_k_assignment,
-)
+from .arrivals import PoissonStream, TapeSource, load_tape
+from .assignment import Assignment, brute_force_k_assignment, min_k_assignment
 from .costs import RateModel, cost_matrix, draw_pair_cost
 from .engine import (
     DecayModel,
@@ -38,13 +32,12 @@ from .engine import (
     run,
     run_ensemble,
 )
-from .schedules import ScheduleSpec, parse_schedule, should_clear, threshold
+from .schedules import ScheduleSpec, parse_schedule, threshold
 from .validation import CriterionResult, run_criteria
 from . import oracles
 
 __all__ = [
     "__version__",
-    "Agent",
     "AnalyticEqualSided",
     "Assignment",
     "CoverageError",
@@ -66,18 +59,15 @@ __all__ = [
     "cost_matrix",
     "draw_pair_cost",
     "empirical_patient_denominator",
-    "fcfs_pairs",
     "fit_growth",
     "load_tape",
     "matching_ratio",
-    "min_edge",
     "min_k_assignment",
     "oracles",
     "parse_schedule",
     "run",
     "run_criteria",
     "run_ensemble",
-    "should_clear",
     "threshold",
     "waiting_ratio",
 ]

@@ -18,10 +18,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from . import _rng, costs, oracles
-from .arrivals import PoissonStream
 from .assignment import min_k_assignment
 from .costs import RateModel
-from .engine import RunTrace
+from .engine import MatchTarget, RunTrace, check_grid, parallel_map, patient_pools
+from .schedules import PATIENT, ScheduleSpec
 
 __all__ = [
     "LOG_LOG",
@@ -45,7 +45,6 @@ SEMILOG_X = "semilogx"
 RAW = "raw"
 
 _TRANSFORMS = (LOG_LOG, SEMILOG_X, RAW)
-_RETRY_CAP = 64
 
 
 class CoverageError(ValueError):
@@ -119,27 +118,10 @@ DenominatorSource = Union[AnalyticEqualSided, EmpiricalPatient]
 
 def _patient_mean_worker(args) -> float:
     a, cost_mode, seed = args
-    tau_max = 2.0 * a + 4.0 * math.sqrt(a)
-    for attempt in range(_RETRY_CAP):
-        run_seed = seed if attempt == 0 else _rng.derive_seed(seed, attempt)
-        stream = PoissonStream(run_seed)
-        clients: List[int] = []
-        providers: List[int] = []
-        while True:
-            times, sides = stream.take_block()
-            hit_horizon = False
-            for t, is_client in zip(times, sides):
-                if t > tau_max:
-                    hit_horizon = True
-                    break
-                idx = len(clients) + len(providers) + 1
-                (clients if is_client else providers).append(idx)
-            if hit_horizon:
-                break
-        if len(clients) >= a and len(providers) >= a:
-            mat = costs.cost_matrix(clients[:a], providers[:a], cost_mode, run_seed)
-            return min_k_assignment(mat, a).total
-    raise RuntimeError(f"no patient sample with {a} per side in {_RETRY_CAP} attempts")
+    spec = ScheduleSpec(PATIENT)
+    trace, clients, providers = patient_pools(spec, cost_mode, MatchTarget(a), seed)
+    mat = costs.cost_matrix(clients[:a], providers[:a], cost_mode, trace.summary.seed)
+    return min_k_assignment(mat, a).total
 
 
 def empirical_patient_denominator(
@@ -162,20 +144,12 @@ def empirical_patient_denominator(
         raise ValueError("need reps >= 1")
     if not isinstance(cost_mode, RateModel):
         raise TypeError("empirical denominator needs a pair-cost rate model")
-    a_grid = tuple(int(a) for a in a_grid)
-    if any(a < 1 for a in a_grid) or list(a_grid) != sorted(set(a_grid)):
-        raise ValueError("a_grid must be sorted, unique, and >= 1")
+    a_grid = check_grid("a_grid", a_grid, int)
     tasks = []
     for pos, a in enumerate(a_grid):
         a_base = _rng.derive_seed(base_seed, pos)
         tasks.extend((a, cost_mode, _rng.derive_seed(a_base, r)) for r in range(reps))
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(processes=jobs) as pool:
-            totals = pool.map(_patient_mean_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-    else:
-        totals = [_patient_mean_worker(t) for t in tasks]
+    totals = parallel_map(_patient_mean_worker, tasks, jobs)
     means = []
     for pos, a in enumerate(a_grid):
         block = totals[pos * reps : (pos + 1) * reps]
@@ -183,7 +157,8 @@ def empirical_patient_denominator(
     return EmpiricalPatient(means=tuple(means))
 
 
-def _mean_stderr(values: List[float]) -> Tuple[float, float]:
+def mean_stderr(values: Sequence[float]) -> Tuple[float, float]:
+    """fsum mean and its standard error (0 for a single value)."""
     n = len(values)
     mean = math.fsum(values) / n
     if n < 2:
@@ -200,9 +175,7 @@ def matching_ratio(
     """alpha-hat over the match-count grid: mean cumulative cost / patient cost."""
     if not traces:
         raise ValueError("need at least one trace")
-    a_grid = tuple(int(a) for a in a_grid)
-    if any(a < 1 for a in a_grid) or list(a_grid) != sorted(set(a_grid)):
-        raise ValueError("a_grid must be sorted, unique, and >= 1")
+    a_grid = check_grid("a_grid", a_grid, int)
     out = []
     for a in a_grid:
         values = []
@@ -215,11 +188,12 @@ def matching_ratio(
         if deficient:
             raise CoverageError(
                 f"{len(deficient)} of {len(traces)} replications never reach "
-                f"match {a} (reps {deficient[:10]}...)",
+                f"match {a} (reps {deficient[:10]}...); the fewest matches any "
+                f"replication reached is {min(t.summary.a for t in traces)}",
                 deficient,
             )
         den = denominator.value(a)
-        mean, se = _mean_stderr(values)
+        mean, se = mean_stderr(values)
         out.append(RatioEstimate(float(a), mean / den, se / den, denominator.tag))
     return out
 
@@ -234,9 +208,7 @@ def waiting_ratio(
     """
     if not traces:
         raise ValueError("need at least one trace")
-    tau_grid = tuple(float(t) for t in tau_grid)
-    if any(t < 0.0 for t in tau_grid) or list(tau_grid) != sorted(set(tau_grid)):
-        raise ValueError("tau_grid must be sorted, unique, and non-negative")
+    tau_grid = check_grid("tau_grid", tau_grid, float, allow_zero=True)
     out = []
     for tau in tau_grid:
         if tau == 0.0:
@@ -255,7 +227,7 @@ def waiting_ratio(
                 deficient,
             )
         den = oracles.greedy_expected_wait(tau)
-        mean, se = _mean_stderr(values)
+        mean, se = mean_stderr(values)
         out.append(RatioEstimate(tau, mean / den, se / den, "analytic"))
     return out
 

@@ -1,4 +1,4 @@
-"""Agent arrival streams and random-walk diagnostics.
+"""Arrival streams of agents, and random-walk diagnostics.
 
 Arrivals follow a rate-1 Poisson clock; each arrival is a client or a
 provider by a fair coin.  Interarrival gaps and side coins come from separate
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -21,12 +20,9 @@ from . import _rng
 __all__ = [
     "CLIENT",
     "PROVIDER",
-    "Agent",
-    "WalkSample",
     "WalkEstimate",
     "PoissonStream",
     "TapeSource",
-    "next_arrival",
     "load_tape",
     "walk_abs_mean",
     "stopping_time_sample",
@@ -36,35 +32,8 @@ __all__ = [
 CLIENT = "C"
 PROVIDER = "P"
 
-_ARRIVAL_CAP = 10 ** 9
+ARRIVAL_CAP = 10 ** 9
 _BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class Agent:
-    id: int
-    side: str
-    arrival_time: float
-
-    def __post_init__(self) -> None:
-        if self.side not in (CLIENT, PROVIDER):
-            raise ValueError(f"side must be {CLIENT!r} or {PROVIDER!r}")
-        if self.arrival_time < 0.0:
-            raise ValueError("arrival time cannot be negative")
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    """Clients-minus-providers difference after k arrivals."""
-
-    k: int
-    s_k: int
-
-    def __post_init__(self) -> None:
-        if abs(self.s_k) > self.k:
-            raise ValueError("|S_k| cannot exceed the step count")
-        if (self.s_k - self.k) % 2 != 0:
-            raise ValueError("S_k must have the parity of k")
 
 
 class WalkEstimate(NamedTuple):
@@ -114,14 +83,6 @@ class PoissonStream:
         self._cache_pos = len(self._cache_times)
         return self._cache_times, self._cache_sides
 
-    def next_arrival(self) -> Agent:
-        if self._cache_pos >= len(self._cache_times):
-            self._refill(_BLOCK)
-        t = self._cache_times[self._cache_pos]
-        bit = self._cache_sides[self._cache_pos]
-        self._cache_pos += 1
-        agent_id = self._index - (len(self._cache_times) - self._cache_pos)
-        return Agent(agent_id, CLIENT if bit else PROVIDER, t)
 
 
 class TapeSource:
@@ -148,17 +109,6 @@ class TapeSource:
         sides = [1 if s == CLIENT else 0 for _, s in chunk]
         return times, sides
 
-    def next_arrival(self) -> Agent:
-        if self._pos >= len(self._rows):
-            raise StopIteration("tape exhausted")
-        t, side = self._rows[self._pos]
-        self._pos += 1
-        return Agent(self._pos, side, t)
-
-
-def next_arrival(stream_state) -> Agent:
-    """Advance the given source by one agent."""
-    return stream_state.next_arrival()
 
 
 def load_tape(path: str) -> TapeSource:
@@ -244,8 +194,8 @@ def stopping_time_sample(k: int, c: int, seed: int) -> int:
                 if fired == k:
                     return i + 1
         arrivals = hi
-        if arrivals >= _ARRIVAL_CAP:
-            raise RuntimeError(f"no {k}-th firing within {_ARRIVAL_CAP} arrivals")
+        if arrivals >= ARRIVAL_CAP:
+            raise RuntimeError(f"no {k}-th firing within {ARRIVAL_CAP} arrivals")
 
 
 def stopping_time_samples(k: int, c: int, reps: int, base_seed: int) -> np.ndarray:
@@ -279,6 +229,6 @@ def stopping_time_samples(k: int, c: int, reps: int, base_seed: int) -> np.ndarr
         result[done] = step + 1
         active &= ~done
         step += 1
-        if step >= _ARRIVAL_CAP:
-            raise RuntimeError(f"no {k}-th firing within {_ARRIVAL_CAP} arrivals")
+        if step >= ARRIVAL_CAP:
+            raise RuntimeError(f"no {k}-th firing within {ARRIVAL_CAP} arrivals")
     return result

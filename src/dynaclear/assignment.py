@@ -1,8 +1,8 @@
 """Static matching primitives on cost matrices.
 
-Three routes to an optimal k-assignment live here: the single cheapest edge,
-a successive-shortest-path solver for arbitrary k, and a small brute-force
-enumerator used to cross-check the solver.  Totals are compensated sums of
+Two routes to an optimal k-assignment live here: a successive-shortest-path
+solver for arbitrary k, and a small brute-force enumerator used to
+cross-check the solver.  Totals are compensated sums of
 the selected entries so that two solvers picking the same pairs report the
 same double.
 """
@@ -13,16 +13,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Assignment",
-    "min_edge",
     "min_k_assignment",
     "brute_force_k_assignment",
-    "fcfs_pairs",
 ]
 
 _BRUTE_DIM_CAP = 8
@@ -54,14 +52,6 @@ def _as_cost_matrix(costs) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("costs must be finite and non-negative")
     return arr
-
-
-def min_edge(costs) -> Tuple[int, int, float]:
-    """Cheapest entry as (row, col, cost); ties go to the lowest row, then column."""
-    arr = _as_cost_matrix(costs)
-    flat = int(np.argmin(arr))
-    i, j = flat // arr.shape[1], flat % arr.shape[1]
-    return i, j, float(arr[i, j])
 
 
 def _total(arr: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> float:
@@ -167,22 +157,3 @@ def brute_force_k_assignment(costs, k: int) -> Assignment:
                 )
     return Assignment(best_pairs, _total(arr, best_pairs))
 
-
-def fcfs_pairs(clients: Sequence, providers: Sequence) -> Tuple:
-    """Earliest waiting couple under first-come-first-served pairing.
-
-    Both sequences must be ordered by arrival; the head of each is the
-    longest-waiting agent on that side.  Raises on an empty side rather than
-    guessing, since the caller's clearing rule decides when pairing is legal.
-    """
-    it_c = iter(clients)
-    it_p = iter(providers)
-    try:
-        c = next(it_c)
-    except StopIteration:
-        raise ValueError("no waiting client to pair") from None
-    try:
-        p = next(it_p)
-    except StopIteration:
-        raise ValueError("no waiting provider to pair") from None
-    return c, p

@@ -18,13 +18,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__, _rng, analysis, oracles, validation
 from .analysis import (
     AnalyticEqualSided,
     CoverageError,
-    EmpiricalPatient,
     LOG_LOG,
     SEMILOG_X,
     empirical_patient_denominator,
@@ -34,9 +33,9 @@ from .analysis import (
     write_fits_json,
     write_ratio_csv,
 )
-from .costs import CONSTANT, PRODUCT_FORM, RateModel, UNIFORM_IID
-from .engine import DecayModel, Horizon, MatchTarget, run, run_ensemble
-from .schedules import PATIENT, ScheduleSpec, parse_schedule
+from .costs import CONSTANT, RateModel
+from .engine import DecayModel, Horizon, MatchTarget, check_grid, run, run_ensemble
+from .schedules import parse_schedule
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "main"]
 
@@ -76,12 +75,11 @@ class ExperimentConfig:
             raise ConfigError("a_grid must be non-empty")
         if not self.tau_grid:
             raise ConfigError("tau_grid must be non-empty")
-        if list(self.a_grid) != sorted(set(self.a_grid)) or any(a < 1 for a in self.a_grid):
-            raise ConfigError(f"a_grid must be sorted, unique, >= 1: {list(self.a_grid)}")
-        if list(self.tau_grid) != sorted(set(self.tau_grid)) or any(
-            t <= 0 for t in self.tau_grid
-        ):
-            raise ConfigError(f"tau_grid must be sorted, unique, positive: {list(self.tau_grid)}")
+        try:
+            check_grid("a_grid", self.a_grid, int)
+            check_grid("tau_grid", self.tau_grid, float)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _parse_rate(text: str) -> RateModel:
@@ -206,17 +204,21 @@ def _build_config(args: argparse.Namespace, command: str, schedule: str) -> Expe
         out=str(out),
         a_grid=tuple(int(a) for a in a_grid) if a_grid else (),
         tau_grid=tuple(float(t) for t in tau_grid),
-        jobs=int(pick("jobs", _default_jobs())),
+        jobs=_worker_count(pick("jobs")),
         no_costs=bool(pick("no_costs", False)),
     )
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("DYNACLEAR_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _worker_count(jobs) -> int:
+    """`--jobs` if given, else $DYNACLEAR_JOBS, else 1; either must be a positive integer."""
+    if jobs is not None:
+        if int(jobs) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        return int(jobs)
+    raw = os.environ.get("DYNACLEAR_JOBS") or "1"
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ConfigError(f"$DYNACLEAR_JOBS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _write_traces(path: str, traced, config_hash: str) -> None:
@@ -270,7 +272,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             denominator_tag = den.tag
         else:
             den = AnalyticEqualSided()
-        alpha = matching_ratio(traces, cfg.a_grid, den)
+        try:
+            alpha = matching_ratio(traces, cfg.a_grid, den)
+        except CoverageError as exc:
+            raise CoverageError(
+                f"{exc}; pass --a-grid with every point at or below that count", exc.deficient
+            ) from None
     beta = waiting_ratio(traces, cfg.tau_grid)
 
     write_ratio_csv(os.path.join(cfg.out, "ratios_alpha.csv"), alpha, cfg_hash)
@@ -401,7 +408,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     only = None
     if args.only:
         only = [t for chunk in args.only for t in chunk.split(",") if t]
-    results = validation.run_criteria(only=only, jobs=args.jobs or _default_jobs())
+    results = validation.run_criteria(only=only, jobs=_worker_count(args.jobs))
     for r in results:
         mark = "ok  " if r.passed else "FAIL"
         print(f"{mark} {r.number:2d} {r.name:<22s} {r.seconds:7.1f}s  {r.detail}")

@@ -18,11 +18,8 @@ from . import _rng
 
 __all__ = [
     "RateModel",
-    "PairCost",
     "rate_of",
     "draw_pair_cost",
-    "pair_cost",
-    "min_of_exponentials_mean",
     "rate_matrix",
     "cost_matrix",
     "pair_cost_at_event",
@@ -83,14 +80,6 @@ class RateModel:
         return cls(PRODUCT_FORM, lam_under, lam_over, mean_factor * mean_factor)
 
 
-@dataclass(frozen=True)
-class PairCost:
-    client_id: int
-    provider_id: int
-    rate: float
-    cost: float
-
-
 def _factor(agent_id: int, salt: int, model: RateModel, run_seed: int) -> float:
     lo = math.sqrt(model.lam_under)
     hi = math.sqrt(model.lam_over)
@@ -118,32 +107,6 @@ def draw_pair_cost(
     base = _rng.stream_base(run_seed, _rng.SALT_COST)
     u = _rng.u01(_rng.key2(base, client_id, provider_id))
     return -math.log(u) / rate_of(client_id, provider_id, model, run_seed)
-
-
-def pair_cost(
-    client_id: int, provider_id: int, model: RateModel, run_seed: int
-) -> PairCost:
-    """Rate and cost of one pair as a record."""
-    return PairCost(
-        client_id,
-        provider_id,
-        rate_of(client_id, provider_id, model, run_seed),
-        draw_pair_cost(client_id, provider_id, model, run_seed),
-    )
-
-
-def min_of_exponentials_mean(rates) -> float:
-    """Exact expectation of the minimum of independent exponentials.
-
-    For rates lambda_1..lambda_n the minimum is exponential with the summed
-    rate, so its mean is 1 / sum(rates).
-    """
-    rates = list(rates)
-    if not rates:
-        raise ValueError("need at least one rate")
-    if any(not (r > 0.0) for r in rates):
-        raise ValueError("rates must be positive")
-    return 1.0 / math.fsum(rates)
 
 
 def _factors_np(ids: np.ndarray, salt: int, model: RateModel, run_seed: int) -> np.ndarray:

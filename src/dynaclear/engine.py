@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _rng, costs
-from .arrivals import PoissonStream
-from .assignment import fcfs_pairs, min_k_assignment
+from .arrivals import ARRIVAL_CAP, PoissonStream
+from .assignment import min_k_assignment
 from .costs import CONSTANT, RateModel
 from .schedules import FCFS, PATIENT, ScheduleSpec, threshold
 
@@ -43,7 +43,6 @@ __all__ = [
     "run_ensemble",
 ]
 
-_ARRIVAL_CAP = 10 ** 9
 _PATIENT_ENTRY_CAP = 250_000
 _PATIENT_RETRY_CAP = 64
 
@@ -76,13 +75,11 @@ class MatchTarget:
 class DecayModel:
     """Count-decay cost law: an event with pools (x, y) costs scale/min(x,y)^delta.
 
-    `fn` swaps in another functional form of the two counts; the default is
-    the min-power law.  Only delta > 1 keeps cumulative cost summable.
+    Only delta > 1 keeps cumulative cost summable.
     """
 
     delta: float
     scale: float = 1.0
-    fn: Optional[Callable[[int, int], float]] = None
 
     def __post_init__(self) -> None:
         if not (self.delta > 1.0 and math.isfinite(self.delta)):
@@ -91,8 +88,6 @@ class DecayModel:
             raise ValueError("scale must be positive and finite")
 
     def cost(self, m_c: int, m_p: int) -> float:
-        if self.fn is not None:
-            return self.fn(m_c, m_p)
         return self.scale / min(m_c, m_p) ** self.delta
 
 
@@ -189,14 +184,17 @@ def _mode_label(mode: CostMode) -> str:
     return f"decay:{mode.delta:g}:{mode.scale:g}"
 
 
-def _validate_grids(a_grid, tau_grid):
-    a_grid = tuple(int(a) for a in a_grid) if a_grid else ()
-    if any(a < 1 for a in a_grid) or list(a_grid) != sorted(set(a_grid)):
-        raise ValueError("a_grid must be sorted, unique, and >= 1")
-    tau_grid = tuple(float(t) for t in tau_grid) if tau_grid else ()
-    if any(not t > 0.0 for t in tau_grid) or list(tau_grid) != sorted(set(tau_grid)):
-        raise ValueError("tau_grid must be sorted, unique, and positive")
-    return a_grid, tau_grid
+def check_grid(name: str, values, cast, *, allow_zero: bool = False) -> tuple:
+    """`values` as a tuple of `cast`, once checked sorted, unique and positive.
+
+    allow_zero also admits 0 (the clock origin of a waiting grid).
+    """
+    grid = tuple(cast(v) for v in values) if values else ()
+    floor_ok = all(v >= 0 if allow_zero else v > 0 for v in grid)
+    if not floor_ok or list(grid) != sorted(set(grid)):
+        least = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be sorted, unique, and {least}: {list(grid)}")
+    return grid
 
 
 def run(
@@ -208,17 +206,17 @@ def run(
     *,
     collect_costs: bool = True,
     collect_records: bool = True,
-    collect_checkpoints: Optional[bool] = None,
     a_grid: Sequence[int] = (),
     tau_grid: Sequence[float] = (),
 ) -> RunTrace:
     """Simulate one replication.
 
     The trace is a pure function of (spec, cost_mode, stop, seed, source).
-    collect_* flags and the capture grids only control what is materialized,
-    except that collect_costs=False skips cost draws entirely (costs report
-    as 0.0); use it for waiting-time ensembles where cost accounting at
-    scale would dominate the runtime.
+    collect_records (per-match records and per-event wait checkpoints) and
+    the capture grids only control what is materialized, except that
+    collect_costs=False skips cost draws entirely (costs report as 0.0); use
+    it for waiting-time ensembles where cost accounting at scale would
+    dominate the runtime.
     """
     if not isinstance(spec, ScheduleSpec):
         raise TypeError("spec must be a ScheduleSpec")
@@ -228,18 +226,15 @@ def run(
         raise TypeError("stop must be Horizon or MatchTarget")
     if isinstance(cost_mode, DecayModel) and spec.kind in (PATIENT, FCFS):
         raise ValueError(f"decay cost mode is incompatible with {spec.kind}")
-    if collect_checkpoints is None:
-        collect_checkpoints = collect_records
-    a_grid, tau_grid = _validate_grids(a_grid, tau_grid)
+    a_grid = check_grid("a_grid", a_grid, int)
+    tau_grid = check_grid("tau_grid", tau_grid, float)
     if spec.kind == PATIENT:
         return _run_patient(
-            spec, cost_mode, stop, seed, source,
-            collect_costs, collect_records, collect_checkpoints, a_grid, tau_grid,
+            spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
         )
     return _run_threshold(
-        spec, cost_mode, stop, seed, source,
-        collect_costs, collect_records, collect_checkpoints, a_grid, tau_grid,
-    )
+        spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
+    )[0]
 
 
 def _pick_index(u: float, n: int) -> int:
@@ -248,9 +243,13 @@ def _pick_index(u: float, n: int) -> int:
 
 
 def _run_threshold(
-    spec, cost_mode, stop, seed, source,
-    collect_costs, collect_records, collect_checkpoints, a_grid, tau_grid,
+    spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
 ):
+    """The event loop; returns (trace, unmatched clients, unmatched providers).
+
+    The patient schedule is the threshold-infinity member of the family: it
+    never clears here and leaves its pools to the terminal assignment.
+    """
     micro = isinstance(cost_mode, RateModel)
     fifo = spec.kind == FCFS or not micro
     hetero = micro and collect_costs and cost_mode.mode != CONSTANT
@@ -268,14 +267,14 @@ def _run_threshold(
     cum = 0.0
     arrivals = 0
     records: List[MatchRecord] = []
-    checkpoints: List[Tuple[float, float]] = [(0.0, 0.0)] if collect_checkpoints else []
+    checkpoints: List[Tuple[float, float]] = [(0.0, 0.0)] if collect_records else []
     a_costs: List[float] = []
     tau_waits: List[float] = []
     t_pos = 0
     n_tau = len(tau_grid)
     a_pos = 0
     n_a = len(a_grid)
-    need = threshold(spec, 1)
+    need = math.inf if spec.kind == PATIENT else threshold(spec, 1)
     done = False
 
     def advance(to_t: float) -> None:
@@ -290,24 +289,20 @@ def _run_threshold(
     def clear_one() -> Tuple[int, int, float, int, int]:
         m_c = len(pool_c)
         m_p = len(pool_p)
-        if not micro:
-            cid, pid = fcfs_pairs(pool_c, pool_p)
-            pool_c.popleft()
-            pool_p.popleft()
-            cost = cost_mode.cost(m_c, m_p) if collect_costs else 0.0
-            return cid, pid, cost, m_c, m_p
-        es = _rng.event_seed(seed, a)
         if fifo:
-            cid, pid = fcfs_pairs(pool_c, pool_p)
-            pool_c.popleft()
-            pool_p.popleft()
-            cost = (
-                costs.pair_cost_at_event(cid, pid, cost_mode, seed, es)
-                if collect_costs else 0.0
-            )
+            cid = pool_c.popleft()
+            pid = pool_p.popleft()
+            if not collect_costs:
+                cost = 0.0
+            elif micro:
+                es = _rng.event_seed(seed, a)
+                cost = costs.pair_cost_at_event(cid, pid, cost_mode, seed, es)
+            else:
+                cost = cost_mode.cost(m_c, m_p)
             return cid, pid, cost, m_c, m_p
         if not collect_costs:
             return pool_c.pop(), pool_p.pop(), 0.0, m_c, m_p
+        es = _rng.event_seed(seed, a)
         if m_c * m_p <= SEAM_PAIRS:
             mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, es)
             flat = int(np.argmin(mat))
@@ -371,8 +366,8 @@ def _run_threshold(
                 break
             advance(t)
             arrivals += 1
-            if arrivals > _ARRIVAL_CAP:
-                raise RuntimeError(f"runaway run: more than {_ARRIVAL_CAP} arrivals")
+            if arrivals > ARRIVAL_CAP:
+                raise RuntimeError(f"runaway run: more than {ARRIVAL_CAP} arrivals")
             if is_client:
                 n_c += 1
                 pool_c.append(arrivals)
@@ -389,7 +384,7 @@ def _run_threshold(
                     col = costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
                     for pos, c in enumerate(pool_c):
                         row_sums[c] += float(col[pos])
-            if collect_checkpoints:
+            if collect_records:
                 checkpoints.append((clock, wait))
             while len(pool_c) >= need and len(pool_p) >= need:
                 a += 1
@@ -397,7 +392,6 @@ def _run_threshold(
                 cum += cost
                 if collect_records:
                     records.append(MatchRecord(a, clock, cid, pid, cost, m_c, m_p))
-                if collect_checkpoints:
                     checkpoints.append((clock, wait))
                 if a_pos < n_a and a == a_grid[a_pos]:
                     a_costs.append(cum)
@@ -409,131 +403,82 @@ def _run_threshold(
             if done:
                 break
 
-    if collect_checkpoints and (not checkpoints or checkpoints[-1][0] != clock):
+    if collect_records and checkpoints[-1][0] != clock:
         checkpoints.append((clock, wait))
     summary = RunSummary(
         tau=clock, n_c=n_c, n_p=n_p, a=a, wait_integral=wait, total_cost=cum,
         seed=seed, schedule=spec.label(), mode=_mode_label(cost_mode),
     )
-    return RunTrace(
+    trace = RunTrace(
         records, checkpoints, summary,
         a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
         tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
     )
+    return trace, pool_c, pool_p
+
+
+def patient_pools(spec, cost_mode, stop, seed, source=None, collect_records=False, tau_grid=()):
+    """Arrivals of a patient run up to its horizon, and the unmatched pools.
+
+    A MatchTarget(T) stop runs to the horizon 2T + 4 sqrt(T) and needs T
+    agents on each side; a thinner draw is redone on the derived seed
+    derive_seed(seed, attempt).  Returns (trace, clients, providers); the
+    trace summary names the seed used and the number of retries.
+    """
+    if isinstance(stop, MatchTarget):
+        target = stop.a_max
+        stop = Horizon(2.0 * target + 4.0 * math.sqrt(target))
+    else:
+        target = 0
+    for attempt in range(_PATIENT_RETRY_CAP):
+        run_seed = seed if attempt == 0 else _rng.derive_seed(seed, attempt)
+        trace, pool_c, pool_p = _run_threshold(
+            spec, cost_mode, stop, run_seed, source, False, collect_records, (), tau_grid,
+        )
+        short = min(len(pool_c), len(pool_p))
+        if short >= target:
+            trace.summary = replace(trace.summary, retries=attempt)
+            return trace, pool_c, pool_p
+        if source is not None:
+            raise RuntimeError(f"source provides min side {short} < target {target}")
+    raise RuntimeError(
+        f"patient run failed to reach {target} matches in {_PATIENT_RETRY_CAP} attempts"
+    )
 
 
 def _run_patient(
-    spec, cost_mode, stop, seed, source,
-    collect_costs, collect_records, collect_checkpoints, a_grid, tau_grid,
+    spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
 ):
-    if isinstance(stop, MatchTarget):
-        target = stop.a_max
-        tau_max = 2.0 * target + 4.0 * math.sqrt(target)
-    else:
-        target = None
-        tau_max = stop.tau_max
-
-    for attempt in range(_PATIENT_RETRY_CAP):
-        run_seed = seed if attempt == 0 else _rng.derive_seed(seed, attempt)
-        src = source if source is not None else PoissonStream(run_seed)
-        pool_c: List[int] = []
-        pool_p: List[int] = []
-        clock = 0.0
-        wait = 0.0
-        arrivals = 0
-        tau_waits: List[float] = []
-        t_pos = 0
-        n_tau = len(tau_grid)
-        checkpoints: List[Tuple[float, float]] = [(0.0, 0.0)] if collect_checkpoints else []
-
-        def advance(to_t: float) -> None:
-            nonlocal clock, wait, t_pos
-            r = len(pool_c) + len(pool_p)
-            while t_pos < n_tau and clock < tau_grid[t_pos] <= to_t:
-                tau_waits.append(wait + r * (tau_grid[t_pos] - clock))
-                t_pos += 1
-            wait += r * (to_t - clock)
-            clock = to_t
-
-        exhausted = False
-        while True:
-            times, sides = src.take_block()
-            if not times:
-                exhausted = True
-                break
-            stop_block = False
-            for t, is_client in zip(times, sides):
-                if t > tau_max:
-                    stop_block = True
-                    break
-                advance(t)
-                arrivals += 1
-                if arrivals > _ARRIVAL_CAP:
-                    raise RuntimeError(f"runaway run: more than {_ARRIVAL_CAP} arrivals")
-                if is_client:
-                    pool_c.append(arrivals)
-                else:
-                    pool_p.append(arrivals)
-                if collect_checkpoints:
-                    checkpoints.append((clock, wait))
-            if stop_block or exhausted:
-                break
-        if clock < tau_max:
-            advance(tau_max)
-
-        n_c = len(pool_c)
-        n_p = len(pool_p)
-        k = min(n_c, n_p) if target is None else target
-        if target is not None and min(n_c, n_p) < target:
-            if source is not None:
-                raise RuntimeError(
-                    f"source provides min side {min(n_c, n_p)} < target {target}"
-                )
-            continue
-
-        records: List[MatchRecord] = []
-        total = 0.0
-        a = 0
-        a_costs: List[float] = []
-        if collect_costs and k >= 1:
-            if n_c * n_p > _PATIENT_ENTRY_CAP:
-                raise ValueError(
-                    f"patient terminal assignment over {n_c}x{n_p} pairs exceeds "
-                    f"{_PATIENT_ENTRY_CAP} entries; rerun with collect_costs=False"
-                )
-            mat = costs.cost_matrix(pool_c, pool_p, cost_mode, run_seed)
-            asn = min_k_assignment(mat, k)
-            pairs = sorted(asn.pairs)
-            cum = 0.0
-            for idx, (i, j) in enumerate(pairs):
-                cost = float(mat[i, j])
-                cum += cost
-                if collect_records:
-                    records.append(
-                        MatchRecord(
-                            idx + 1, tau_max, pool_c[i], pool_p[j], cost,
-                            n_c - idx, n_p - idx,
-                        )
-                    )
-                if len(a_costs) < len(a_grid) and idx + 1 == a_grid[len(a_costs)]:
-                    a_costs.append(cum)
-            total = asn.total
-            a = k
-
-        if collect_checkpoints and (not checkpoints or checkpoints[-1][0] != tau_max):
-            checkpoints.append((tau_max, wait))
-        summary = RunSummary(
-            tau=tau_max, n_c=n_c, n_p=n_p, a=a, wait_integral=wait,
-            total_cost=total, seed=run_seed, schedule=spec.label(),
-            mode=_mode_label(cost_mode), retries=attempt,
+    trace, pool_c, pool_p = patient_pools(
+        spec, cost_mode, stop, seed, source, collect_records, tau_grid,
+    )
+    summary = trace.summary
+    n_c, n_p = summary.n_c, summary.n_p
+    k = stop.a_max if isinstance(stop, MatchTarget) else min(n_c, n_p)
+    if not (collect_costs and k >= 1):
+        return trace
+    if n_c * n_p > _PATIENT_ENTRY_CAP:
+        raise ValueError(
+            f"patient terminal assignment over {n_c}x{n_p} pairs exceeds "
+            f"{_PATIENT_ENTRY_CAP} entries; rerun with collect_costs=False"
         )
-        return RunTrace(
-            records, checkpoints, summary,
-            a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
-            tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
-        )
-    raise RuntimeError(
-        f"patient run failed to reach {target} matches in {_PATIENT_RETRY_CAP} attempts"
+    mat = costs.cost_matrix(pool_c, pool_p, cost_mode, summary.seed)
+    asn = min_k_assignment(mat, k)
+    records: List[MatchRecord] = []
+    a_costs: List[float] = []
+    cum = 0.0
+    for idx, (i, j) in enumerate(sorted(asn.pairs)):
+        cost = float(mat[i, j])
+        cum += cost
+        if collect_records:
+            records.append(
+                MatchRecord(idx + 1, summary.tau, pool_c[i], pool_p[j], cost, n_c - idx, n_p - idx)
+            )
+        if len(a_costs) < len(a_grid) and idx + 1 == a_grid[len(a_costs)]:
+            a_costs.append(cum)
+    return replace(
+        trace, records=records, summary=replace(summary, a=k, total_cost=asn.total),
+        a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
     )
 
 
@@ -560,9 +505,14 @@ def run_ensemble(
     if reps < 1:
         raise ValueError("need reps >= 1")
     tasks = [(base_seed, r, spec, cost_mode, stop, run_kwargs) for r in range(reps)]
+    return parallel_map(_ensemble_worker, tasks, jobs)
+
+
+def parallel_map(fn, tasks: Sequence, jobs: int) -> list:
+    """[fn(t) for t in tasks], fanned out to `jobs` forked workers when jobs > 1."""
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(processes=jobs) as pool:
-            return pool.map(_ensemble_worker, tasks, chunksize=max(1, reps // (4 * jobs)))
-    return [_ensemble_worker(t) for t in tasks]
+            return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+    return [fn(t) for t in tasks]

@@ -17,11 +17,8 @@ from typing import Optional, Tuple
 __all__ = [
     "ScheduleSpec",
     "threshold",
-    "should_clear",
     "parse_schedule",
     "load_threshold_table",
-    "MIN_EDGE",
-    "ARRIVAL_ORDER",
 ]
 
 FCFS = "fcfs"
@@ -30,9 +27,6 @@ PATIENT = "patient"
 POWER = "power"
 BALANCED = "balanced"
 CUSTOM = "custom"
-
-MIN_EDGE = "min_edge"
-ARRIVAL_ORDER = "arrival_order"
 
 _KINDS = (FCFS, GREEDY, PATIENT, POWER, BALANCED, CUSTOM)
 
@@ -86,10 +80,6 @@ class ScheduleSpec:
         elif self.table is not None:
             raise ValueError(f"threshold table is meaningless for {self.kind}")
 
-    @property
-    def pairing_rule(self) -> str:
-        return ARRIVAL_ORDER if self.kind == FCFS else MIN_EDGE
-
     def label(self) -> str:
         if self.kind == POWER:
             if self.scale != 1.0:
@@ -119,21 +109,6 @@ def threshold(spec: ScheduleSpec, k: int) -> int:
     if k > len(table):
         raise ValueError(f"threshold table covers k <= {len(table)}, asked for {k}")
     return table[k - 1]
-
-
-def should_clear(
-    spec: ScheduleSpec,
-    unmatched_clients: int,
-    unmatched_providers: int,
-    next_match_index: int,
-) -> bool:
-    """True when the next clearing event fires in the given state."""
-    if unmatched_clients < 0 or unmatched_providers < 0:
-        raise ValueError("pool counts cannot be negative")
-    if spec.kind == PATIENT:
-        return False
-    need = threshold(spec, next_match_index)
-    return min(unmatched_clients, unmatched_providers) >= need
 
 
 def load_threshold_table(path: str) -> Tuple[int, ...]:

@@ -22,6 +22,7 @@ from .analysis import (
     SEMILOG_X,
     fit_growth,
     matching_ratio,
+    mean_stderr,
     waiting_ratio,
 )
 from .arrivals import TapeSource, stopping_time_samples
@@ -46,22 +47,13 @@ class CriterionResult:
     seconds: float
 
 
-def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
-    n = len(values)
-    mean = math.fsum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
-
-
 def _per_rep_slopes(traces, grid, value_fn) -> Tuple[float, float, float]:
     """Mean, standard error, and per-replication sd of single-run loglog slopes."""
     slopes = []
     for trace in traces:
         pts = [(float(x), value_fn(trace, x)) for x in grid]
         slopes.append(fit_growth(pts, LOG_LOG).slope)
-    mean, se = _mean_se(slopes)
+    mean, se = mean_stderr(slopes)
     return mean, se, se * math.sqrt(len(slopes))
 
 
@@ -149,7 +141,7 @@ def _c5_greedy_wait_law(jobs: int = 1) -> Tuple[bool, str]:
         90_5005, 200, jobs=jobs, collect_costs=False, collect_records=False,
     )
     ratios = [t.summary.wait_integral / horizon ** 1.5 for t in traces]
-    mean, se = _mean_se(ratios)
+    mean, se = mean_stderr(ratios)
     target = 2.0 / 3.0
     ok = abs(mean - target) <= 0.10 * target
     return ok, (
@@ -205,7 +197,7 @@ def _c8_supercritical_regime(jobs: int = 1) -> Tuple[bool, str]:
         collect_records=False, a_grid=_A_GRID,
     )
     finals = [t.cost_at_match(10_000) for t in traces]
-    mean, se = _mean_se(finals)
+    mean, se = mean_stderr(finals)
     bound = oracles.zeta(1.5)
     level_ok = mean <= bound + 3.0 * se
     # A single run's slope is the random quantity here; its dispersion across
@@ -259,7 +251,7 @@ def _c10_fcfs_cost(jobs: int = 1) -> Tuple[bool, str]:
         91_0010, 100, jobs=jobs, collect_records=False,
     )
     totals = [t.summary.total_cost for t in traces]
-    mean, se = _mean_se(totals)
+    mean, se = mean_stderr(totals)
     ok = abs(mean - 1000.0) <= 3.0 * se
     return ok, f"mean cumulative cost {mean:.2f} vs 1000, 3se = {3 * se:.2f}"
 
@@ -307,7 +299,7 @@ def _c12_free_lunch(jobs: int = 1) -> Tuple[bool, str]:
         collect_records=False, a_grid=(10_000,), tau_grid=_TAU_GRID,
     )
     finals = [t.cost_at_match(10_000) for t in traces]
-    mean, se = _mean_se(finals)
+    mean, se = mean_stderr(finals)
     bound = oracles.zeta(0.45 * 3.0)
     level_ok = mean <= bound + 3.0 * se
     slope_mean, slope_se, _ = _per_rep_slopes(

@@ -137,7 +137,7 @@ def test_waiting_ratio_level_matches_the_count_difference_law():
     tau, reps = 50.0, 300
     traces = run_ensemble(
         GREEDY, UNIT, Horizon(tau), 333, reps,
-        collect_costs=False, collect_records=False, collect_checkpoints=False,
+        collect_costs=False, collect_records=False,
         tau_grid=(tau,),
     )
     (est,) = waiting_ratio(traces, (tau,))

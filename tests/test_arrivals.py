@@ -11,16 +11,16 @@ from dynaclear import _rng, oracles
 from dynaclear.arrivals import (
     CLIENT,
     PROVIDER,
-    Agent,
     PoissonStream,
     TapeSource,
-    WalkSample,
     load_tape,
-    next_arrival,
     stopping_time_sample,
     stopping_time_samples,
     walk_abs_mean,
 )
+from dynaclear.costs import RateModel
+from dynaclear.engine import Horizon, run
+from dynaclear.schedules import ScheduleSpec
 
 
 def _drain(stream, n):
@@ -39,13 +39,14 @@ def test_same_seed_same_stream():
 
 
 def test_block_and_agent_views_agree():
+    # the engine names each agent by its 1-based position in the block view;
+    # a greedy match fires on the arrival of the younger partner
     times, sides = _drain(PoissonStream(7), 300)
-    stream = PoissonStream(7)
-    for i in range(300):
-        agent = next_arrival(stream)
-        assert agent.id == i + 1
-        assert agent.arrival_time == times[i]
-        assert agent.side == (CLIENT if sides[i] else PROVIDER)
+    trace = run(ScheduleSpec("greedy"), RateModel.constant(1.0), Horizon(times[-1]), 7)
+    assert trace.summary.n_c + trace.summary.n_p == 300
+    for rec in trace.records:
+        assert sides[rec.client_id - 1] == 1 and sides[rec.provider_id - 1] == 0
+        assert rec.time == times[max(rec.client_id, rec.provider_id) - 1]
 
 
 def test_times_strictly_increase():
@@ -60,22 +61,6 @@ def test_interarrival_mean_and_side_fraction():
     assert abs(sum(sides) / len(sides) - 0.5) <= 0.005
 
 
-def test_agent_validation():
-    with pytest.raises(ValueError):
-        Agent(1, "X", 0.5)
-    with pytest.raises(ValueError):
-        Agent(1, CLIENT, -0.5)
-
-
-@given(k=st.integers(0, 200), s=st.integers(-200, 200))
-def test_walk_sample_invariants(k, s):
-    if abs(s) > k or (s - k) % 2 != 0:
-        with pytest.raises(ValueError):
-            WalkSample(k, s)
-    else:
-        assert WalkSample(k, s).s_k == s
-
-
 def test_tape_source_replays_rows():
     tape = TapeSource([(1.0, CLIENT), (2.5, PROVIDER), (4.0, CLIENT)])
     assert len(tape) == 3
@@ -83,15 +68,6 @@ def test_tape_source_replays_rows():
     assert times == [1.0, 2.5, 4.0]
     assert sides == [1, 0, 1]
     assert tape.take_block() == ([], [])
-
-
-def test_tape_source_agent_view_and_exhaustion():
-    tape = TapeSource([(1.0, CLIENT), (2.5, PROVIDER)])
-    first = tape.next_arrival()
-    assert (first.id, first.side, first.arrival_time) == (1, CLIENT, 1.0)
-    tape.next_arrival()
-    with pytest.raises(StopIteration):
-        tape.next_arrival()
 
 
 def test_tape_source_validation():

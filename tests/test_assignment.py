@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaclear.assignment import (
-    Assignment,
-    brute_force_k_assignment,
-    fcfs_pairs,
-    min_edge,
-    min_k_assignment,
-)
+from dynaclear.arrivals import CLIENT, PROVIDER, TapeSource
+from dynaclear.assignment import Assignment, brute_force_k_assignment, min_k_assignment
+from dynaclear.costs import RateModel
+from dynaclear.engine import Horizon, run
+from dynaclear.schedules import ScheduleSpec
 
 
 @st.composite
@@ -28,26 +26,20 @@ def matrices(draw, max_dim=6):
     return np.array(vals, dtype=np.float64).reshape(n, m)
 
 
-def test_min_edge_single_entry():
-    assert min_edge([[5.0]]) == (0, 0, 5.0)
-
-
 def test_min_edge_picks_global_minimum():
-    assert min_edge([[3.0, 1.0], [2.0, 5.0]]) == (0, 1, 1.0)
-
-
-def test_min_edge_tie_breaks_by_row_then_column():
-    assert min_edge([[1.0, 1.0], [1.0, 1.0]]) == (0, 0, 1.0)
-    assert min_edge([[2.0, 1.0], [1.0, 2.0]]) == (0, 1, 1.0)
+    # the one-assignment is the cheapest single edge
+    best = min_k_assignment([[3.0, 1.0], [2.0, 5.0]], 1)
+    assert (best.pairs, best.total) == (((0, 1),), 1.0)
 
 
 def test_min_edge_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        min_edge(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        min_edge([[1.0, -2.0]])
-    with pytest.raises(ValueError):
-        min_edge([[1.0, math.inf]])
+    for solver in (min_k_assignment, brute_force_k_assignment):
+        with pytest.raises(ValueError):
+            solver(np.empty((0, 3)), 1)
+        with pytest.raises(ValueError):
+            solver([[1.0, -2.0]], 1)
+        with pytest.raises(ValueError):
+            solver([[1.0, math.inf]], 1)
 
 
 def test_min_k_assignment_examples():
@@ -133,8 +125,7 @@ def test_min_edge_equals_one_assignment():
     rng = np.random.default_rng(88)
     for _ in range(200):
         mat = rng.exponential(size=(rng.integers(1, 7), rng.integers(1, 7)))
-        _, _, cost = min_edge(mat)
-        assert cost == min_k_assignment(mat, 1).total
+        assert min_k_assignment(mat, 1).total == mat.min()
 
 
 def test_square_exponential_mean_small_case():
@@ -148,27 +139,15 @@ def test_square_exponential_mean_small_case():
     assert abs(totals.mean() - (1.0 + 0.25 + 1.0 / 9.0)) <= 3.0 * se
 
 
-def test_fcfs_pairs_heads_of_both_queues():
-    assert fcfs_pairs(["a"], ["b"]) == ("a", "b")
-    assert fcfs_pairs(["a", "c"], ["b"]) == ("a", "b")
-
-
-def test_fcfs_pairs_empty_side_raises():
-    with pytest.raises(ValueError, match="client"):
-        fcfs_pairs([], ["b"])
-    with pytest.raises(ValueError, match="provider"):
-        fcfs_pairs(["a"], [])
-
-
 def test_fcfs_repeated_application_drains_in_arrival_order():
-    from collections import deque
-
-    clients = deque(f"c{i}" for i in range(5))
-    providers = deque(f"p{i}" for i in range(5))
-    seen = []
-    while clients and providers:
-        c, p = fcfs_pairs(clients, providers)
-        seen.append((c, p))
-        clients.popleft()
-        providers.popleft()
-    assert seen == [(f"c{i}", f"p{i}") for i in range(5)]
+    # five clients wait, then five providers arrive one by one; first-come-
+    # first-served pairs each provider with the longest-waiting client
+    rows = [(float(t), CLIENT) for t in range(1, 6)] + [
+        (float(t), PROVIDER) for t in range(6, 11)
+    ]
+    trace = run(
+        ScheduleSpec("fcfs"), RateModel.constant(1.0), Horizon(10.0), 3, source=TapeSource(rows)
+    )
+    assert [(r.client_id, r.provider_id) for r in trace.records] == [
+        (i, i + 5) for i in range(1, 6)
+    ]

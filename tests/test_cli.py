@@ -235,6 +235,34 @@ def test_jobs_default_comes_from_the_environment(tmp_path, monkeypatch):
     assert summary["config"]["jobs"] == 2
 
 
+def test_bad_worker_counts_exit_two(tmp_path, monkeypatch, capsys):
+    grids = {"a-grid": "10", "tau-grid": "5"}
+    argv = _simulate_args(tmp_path / "w", reps="2", matches="10", **grids)
+    for jobs in ("0", "-3"):
+        assert main(argv + ["--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert main(["validate", "--only", "14", "--jobs", "0"]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    for raw in ("two", "0"):
+        monkeypatch.setenv("DYNACLEAR_JOBS", raw)
+        assert main(argv) == 2
+        assert "$DYNACLEAR_JOBS must be a positive integer" in capsys.readouterr().err
+    # an explicit flag does not consult the variable
+    assert main(argv + ["--jobs", "1"]) == 0
+
+
+def test_horizon_run_coverage_error_names_the_a_grid_fix(tmp_path, capsys):
+    # the default a-grid tops out at 0.45 * horizon, which a few of 100
+    # greedy replications fall short of at this size
+    argv = ["simulate", "--schedule", "greedy", "--horizon", "120", "--reps", "100",
+            "--seed", "1", "--out", str(tmp_path / "h")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    fewest = int(err.split("the fewest matches any replication reached is ")[1].split(";")[0])
+    assert f"reached is {fewest}; pass --a-grid with every point at or below that count" in err
+    assert main(argv + ["--a-grid", f"1,{fewest}"]) == 0
+
+
 def test_config_errors_exit_two(tmp_path, capsys):
     out = str(tmp_path / "x")
     cases = [

@@ -12,8 +12,6 @@ from dynaclear.costs import (
     cost_matrix,
     cost_matrix_at_event,
     draw_pair_cost,
-    min_of_exponentials_mean,
-    pair_cost,
     pair_cost_at_event,
     rate_matrix,
     rate_of,
@@ -64,14 +62,6 @@ def test_rates_stay_inside_declared_bounds(c, p, seed, model):
 @given(c=agent_ids, p=agent_ids, seed=seeds, model=st.sampled_from(MODELS))
 def test_costs_are_positive(c, p, seed, model):
     assert draw_pair_cost(c, p, model, seed) > 0.0
-
-
-def test_pair_cost_record_is_consistent():
-    model = RateModel.uniform_iid(0.5, 2.0)
-    rec = pair_cost(11, 22, model, 77)
-    assert rec.rate == rate_of(11, 22, model, 77)
-    assert rec.cost == draw_pair_cost(11, 22, model, 77)
-    assert rec.client_id == 11 and rec.provider_id == 22
 
 
 def _distinct_pair_grid(n_rows=320, n_cols=320):
@@ -146,30 +136,3 @@ def test_event_draws_are_fresh_but_keep_the_rate():
     # ratio of the underlying uniforms, never a rate change
     lam = rate_of(3, 8, model, 55)
     assert math.exp(-first * lam) <= 1.0 and math.exp(-second * lam) <= 1.0
-
-
-def test_min_of_exponentials_mean_exact_values():
-    assert min_of_exponentials_mean([1.0]) == 1.0
-    assert min_of_exponentials_mean([1.0] * 4) == 0.25
-    assert abs(min_of_exponentials_mean([1.0, 2.0, 3.0]) - 1.0 / 6.0) < 1e-15
-
-
-def test_min_of_exponentials_mean_rejects_bad_input():
-    with pytest.raises(ValueError):
-        min_of_exponentials_mean([])
-    with pytest.raises(ValueError):
-        min_of_exponentials_mean([1.0, 0.0])
-    with pytest.raises(ValueError):
-        min_of_exponentials_mean([1.0, -2.0])
-
-
-@pytest.mark.parametrize(
-    "rates", [[1.0], [0.3, 0.9], [1.0, 2.0, 3.0], [0.5] * 10]
-)
-def test_min_of_exponentials_mean_against_monte_carlo(rates):
-    rng = np.random.default_rng(4000 + len(rates))
-    n = 10**6
-    draws = rng.exponential(1.0 / np.asarray(rates), size=(n, len(rates)))
-    mins = draws.min(axis=1)
-    se = mins.std(ddof=1) / math.sqrt(n)
-    assert abs(mins.mean() - min_of_exponentials_mean(rates)) <= 3.0 * se

@@ -231,12 +231,6 @@ def test_decay_costs_are_deterministic_given_the_thresholds():
     assert abs(trace.summary.total_cost - expected_total) < 1e-12
 
 
-def test_decay_custom_function_overrides_the_power_form():
-    decay = DecayModel(delta=2.5, scale=1.0, fn=lambda mc, mp: 7.0)
-    trace = run(GREEDY, decay, MatchTarget(20), seed=9)
-    assert trace.summary.total_cost == pytest.approx(140.0)
-
-
 def test_patient_tape_prices_the_full_canonical_assignment():
     rows = [(float(t), CLIENT if t % 2 else PROVIDER) for t in range(1, 7)]
     tape = TapeSource(rows)
@@ -360,7 +354,6 @@ def test_greedy_wait_matches_the_count_difference_law():
         reps=reps,
         collect_costs=False,
         collect_records=False,
-        collect_checkpoints=False,
         tau_grid=(horizon,),
     )
     waits = np.array([t.tau_grid_waits[0] for t in traces])

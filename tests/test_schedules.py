@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dynaclear.costs import RateModel
+from dynaclear.engine import Horizon, run
 from dynaclear.schedules import (
     ScheduleSpec,
     load_threshold_table,
     parse_schedule,
-    should_clear,
     threshold,
 )
 
@@ -66,32 +67,13 @@ def test_threshold_is_non_decreasing(spec, k):
     assert threshold(spec, k + 1) >= threshold(spec, k)
 
 
-def test_should_clear_fires_at_the_threshold():
-    greedy = ScheduleSpec("greedy")
-    assert should_clear(greedy, 1, 1, 5)
-    assert not should_clear(greedy, 0, 3, 5)
-    power_half = ScheduleSpec("power", gamma=0.5)
-    assert not should_clear(power_half, 2, 5, 9)  # needs 3 on the short side
-    assert should_clear(power_half, 3, 5, 9)
-
-
 def test_patient_never_clears():
-    patient = ScheduleSpec("patient")
-    for state in [(1, 1, 1), (100, 100, 1), (10**6, 10**6, 5)]:
-        assert not should_clear(patient, *state)
-
-
-def test_should_clear_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        should_clear(ScheduleSpec("greedy"), -1, 2, 1)
-
-
-@given(spec=st.sampled_from(BUILTINS), k=st.integers(1, 10**4))
-def test_firing_at_threshold_cannot_refire(spec, k):
-    # one couple leaves each side when the k-th match fires exactly at the
-    # threshold, and f is non-decreasing, so the next index cannot also fire
-    f = threshold(spec, k)
-    assert not should_clear(spec, f - 1, f - 1, k + 1)
+    # threshold infinity: a long run makes no match before its horizon, then
+    # the terminal assignment matches the whole short side at once
+    trace = run(ScheduleSpec("patient"), RateModel.constant(1.0), Horizon(60.0), seed=4)
+    short = min(trace.summary.n_c, trace.summary.n_p)
+    assert short >= 10
+    assert [r.time for r in trace.records] == [60.0] * short
 
 
 def test_spec_validation():
@@ -111,12 +93,6 @@ def test_spec_validation():
         ScheduleSpec("greedy", table=(1, 2))
     with pytest.raises(ValueError):
         ScheduleSpec("custom")
-
-
-def test_pairing_rule_follows_kind():
-    assert ScheduleSpec("fcfs").pairing_rule == "arrival_order"
-    assert ScheduleSpec("greedy").pairing_rule == "min_edge"
-    assert ScheduleSpec("power", gamma=0.5).pairing_rule == "min_edge"
 
 
 def test_custom_table_validation():
