@@ -87,14 +87,6 @@ def keys1_np(base: int, ids: np.ndarray) -> np.ndarray:
     return mix64_np(x)
 
 
-def keys2_np(base: int, i: int, js: np.ndarray) -> np.ndarray:
-    """key2 with fixed first index and a vector second index."""
-    b = key1(base, i)
-    with np.errstate(over="ignore"):
-        x = np.uint64(b) + js.astype(np.uint64, copy=False) * _U64_INDEX2
-    return mix64_np(x)
-
-
 def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     """key2 on the cartesian product, shape (len(is_), len(js))."""
     with np.errstate(over="ignore"):

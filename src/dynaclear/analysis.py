@@ -32,6 +32,7 @@ __all__ = [
     "GrowthFit",
     "AnalyticEqualSided",
     "EmpiricalPatient",
+    "check_coverage",
     "empirical_patient_denominator",
     "matching_ratio",
     "waiting_ratio",
@@ -167,22 +168,13 @@ def mean_stderr(values: Sequence[float]) -> Tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def matching_ratio(
-    traces: Sequence[RunTrace],
-    a_grid: Sequence[int],
-    denominator: DenominatorSource = AnalyticEqualSided(),
-) -> List[RatioEstimate]:
-    """alpha-hat over the match-count grid: mean cumulative cost / patient cost."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    a_grid = check_grid("a_grid", a_grid, int)
-    out = []
+def check_coverage(traces: Sequence[RunTrace], a_grid: Sequence[int]) -> None:
+    """Raise CoverageError at the first grid point some replication never reaches."""
     for a in a_grid:
-        values = []
         deficient = []
         for rep, trace in enumerate(traces):
             try:
-                values.append(trace.cost_at_match(a))
+                trace.cost_at_match(a)
             except LookupError:
                 deficient.append(rep)
         if deficient:
@@ -192,8 +184,22 @@ def matching_ratio(
                 f"replication reached is {min(t.summary.a for t in traces)}",
                 deficient,
             )
+
+
+def matching_ratio(
+    traces: Sequence[RunTrace],
+    a_grid: Sequence[int],
+    denominator: DenominatorSource = AnalyticEqualSided(),
+) -> List[RatioEstimate]:
+    """alpha-hat over the match-count grid: mean cumulative cost / patient cost."""
+    if not traces:
+        raise ValueError("need at least one trace")
+    a_grid = check_grid("a_grid", a_grid, int)
+    check_coverage(traces, a_grid)
+    out = []
+    for a in a_grid:
         den = denominator.value(a)
-        mean, se = mean_stderr(values)
+        mean, se = mean_stderr([trace.cost_at_match(a) for trace in traces])
         out.append(RatioEstimate(float(a), mean / den, se / den, denominator.tag))
     return out
 

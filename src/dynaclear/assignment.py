@@ -1,16 +1,21 @@
 """Static matching primitives on cost matrices.
 
-Two routes to an optimal k-assignment live here: a successive-shortest-path
-solver for arbitrary k, and a small brute-force enumerator used to
-cross-check the solver.  Totals are compensated sums of
-the selected entries so that two solvers picking the same pairs report the
-same double.
+`min_k_assignment` runs scipy's compiled `linear_sum_assignment`, the
+rectangular shortest augmenting path method of Crouse (IEEE TAES 2016),
+loaded from its extension file so that scipy.optimize is never imported;
+k below min(n, m) is solved on a padded square.  `brute_force_k_assignment`
+enumerates small cases and is the oracle that checks it.  Totals are
+compensated sums of the selected entries, so two solvers picking the same
+pairs report the same double.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
@@ -58,67 +63,56 @@ def _total(arr: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> float:
     return math.fsum(float(arr[i, j]) for i, j in pairs)
 
 
+def _load_kernel():
+    """scipy's compiled `linear_sum_assignment`, without importing scipy.optimize.
+
+    The extension file is the whole solver.  Loading only that file keeps
+    the roughly 50 MB that importing scipy.optimize adds out of every
+    process.  Builds that lay scipy out differently get the public import.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    path = os.path.join(
+        scipy.submodule_search_locations[0],
+        "optimize",
+        "_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    if os.path.isfile(path):
+        spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+_lsap = _load_kernel()
+
+
 def min_k_assignment(costs, k: int) -> Assignment:
     """Cheapest selection of k disjoint entries, one per chosen row and column.
 
-    Successive shortest augmenting paths with row/column potentials, started
-    from every unmatched row at once; after the p-th augmentation the matching
-    is a minimum-cost p-assignment, so stopping at k needs no padding of the
-    rectangle.
+    k = min(n, m) goes straight to the kernel.  Smaller k pads the n x m
+    matrix to a square of side n + m - k: m - k dummy rows and n - k dummy
+    columns cost 0 against real ones and inf against each other, so every
+    dummy row takes a real column, every dummy column a real row, and exactly
+    k real rows meet real columns at minimum total cost.
     """
     arr = _as_cost_matrix(costs)
     n, m = arr.shape
     if not 1 <= k <= min(n, m):
         raise ValueError(f"k must be in [1, {min(n, m)}], got {k}")
-
-    u = np.zeros(n)
-    v = np.zeros(m)
-    row_for_col = np.full(m, -1, dtype=np.int64)
-    col_for_row = np.full(n, -1, dtype=np.int64)
-
-    for _ in range(k):
-        free_rows = np.flatnonzero(col_for_row == -1)
-        reduced = arr[free_rows] - u[free_rows, None] - v[None, :]
-        source = reduced.argmin(axis=0)
-        dist = reduced[source, np.arange(m)]
-        reach_row = free_rows[source]
-        prev_col = np.full(m, -1, dtype=np.int64)
-        visited = np.zeros(m, dtype=bool)
-
-        while True:
-            masked = np.where(visited, np.inf, dist)
-            j = int(masked.argmin())
-            if not math.isfinite(masked[j]):
-                raise RuntimeError("no augmenting path in a complete bipartite graph")
-            visited[j] = True
-            if row_for_col[j] == -1:
-                break
-            i = int(row_for_col[j])
-            slack = dist[j] + (arr[i] - u[i] - v)
-            better = ~visited & (slack < dist)
-            dist[better] = slack[better]
-            reach_row[better] = i
-            prev_col[better] = j
-
-        d_final = dist[j]
-        u[free_rows] += d_final
-        vis = np.flatnonzero(visited)
-        matched_vis = vis[row_for_col[vis] >= 0]
-        u[row_for_col[matched_vis]] += d_final - dist[matched_vis]
-        v[vis] += dist[vis] - d_final
-
-        while True:
-            i = int(reach_row[j])
-            back = int(prev_col[j])
-            row_for_col[j] = i
-            col_for_row[i] = j
-            if back == -1:
-                break
-            j = back
-
-    pairs = tuple(
-        (int(i), int(col_for_row[i])) for i in np.flatnonzero(col_for_row >= 0)
-    )
+    if k == min(n, m):
+        rows, cols = _lsap(arr)
+    else:
+        side = n + m - k
+        padded = np.zeros((side, side))
+        padded[:n, :m] = arr
+        padded[n:, m:] = np.inf
+        rows, cols = _lsap(padded)
+        real = (rows < n) & (cols < m)
+        rows, cols = rows[real], cols[real]
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
     return Assignment(pairs, _total(arr, pairs))
 
 

@@ -26,6 +26,7 @@ from .analysis import (
     CoverageError,
     LOG_LOG,
     SEMILOG_X,
+    check_coverage,
     empirical_patient_denominator,
     fit_growth,
     matching_ratio,
@@ -40,7 +41,7 @@ from .schedules import parse_schedule
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "main"]
 
 _TRACE_REPS = 5
-_EMPIRICAL_A_CAP = 200
+_EMPIRICAL_A_CAP = 2000
 
 
 class ConfigError(ValueError):
@@ -246,6 +247,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         cost_mode = _parse_rate(cfg.rate)
     stop = MatchTarget(cfg.matches) if cfg.matches is not None else Horizon(cfg.horizon)
     collect_costs = not cfg.no_costs
+    empirical = (
+        collect_costs and isinstance(cost_mode, RateModel) and cost_mode.mode != CONSTANT
+    )
+    if empirical and max(cfg.a_grid) > _EMPIRICAL_A_CAP:
+        raise ConfigError(
+            f"heterogeneous rates need the empirical patient denominator, "
+            f"supported for a_grid up to {_EMPIRICAL_A_CAP}; pass --a-grid "
+            f"accordingly or use const rates"
+        )
     cfg_hash = _config_hash(cfg)
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -258,13 +268,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     alpha = []
     denominator_tag = "analytic"
     if collect_costs:
-        if isinstance(cost_mode, RateModel) and cost_mode.mode != CONSTANT:
-            if max(cfg.a_grid) > _EMPIRICAL_A_CAP:
-                raise ConfigError(
-                    f"heterogeneous rates need the empirical patient denominator, "
-                    f"supported for a_grid up to {_EMPIRICAL_A_CAP}; pass --a-grid "
-                    f"accordingly or use const rates"
-                )
+        try:
+            check_coverage(traces, cfg.a_grid)
+        except CoverageError as exc:
+            raise CoverageError(
+                f"{exc}; pass --a-grid with every point at or below that count", exc.deficient
+            ) from None
+        if empirical:
             den = empirical_patient_denominator(
                 cfg.a_grid, cost_mode, _rng.derive_seed(cfg.seed, 1_000_003),
                 max(100, min(cfg.reps, 400)), jobs=cfg.jobs,
@@ -272,12 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             denominator_tag = den.tag
         else:
             den = AnalyticEqualSided()
-        try:
-            alpha = matching_ratio(traces, cfg.a_grid, den)
-        except CoverageError as exc:
-            raise CoverageError(
-                f"{exc}; pass --a-grid with every point at or below that count", exc.deficient
-            ) from None
+        alpha = matching_ratio(traces, cfg.a_grid, den)
     beta = waiting_ratio(traces, cfg.tau_grid)
 
     write_ratio_csv(os.path.join(cfg.out, "ratios_alpha.csv"), alpha, cfg_hash)

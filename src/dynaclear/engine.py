@@ -43,7 +43,7 @@ __all__ = [
     "run_ensemble",
 ]
 
-_PATIENT_ENTRY_CAP = 250_000
+_PATIENT_ENTRY_CAP = 2_500_000
 _PATIENT_RETRY_CAP = 64
 
 SEAM_PAIRS = 256

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynaclear
 from dynaclear.arrivals import CLIENT, PROVIDER, TapeSource
 from dynaclear.assignment import Assignment, brute_force_k_assignment, min_k_assignment
 from dynaclear.costs import RateModel
@@ -119,6 +124,52 @@ def test_raising_one_entry_never_helps(mat, pos, delta):
     i, j = pos % mat.shape[0], (pos // mat.shape[0]) % mat.shape[1]
     bumped[i, j] += delta
     assert min_k_assignment(bumped, k).total >= base - 1e-9
+
+
+def _k_assignment_lp_total(mat, k):
+    # min c.x over 0 <= x <= 1 with row and column sums at most 1 and k in
+    # all: a flow polytope, so the LP optimum is an optimal k-assignment
+    from scipy.optimize import linprog
+
+    n, m = mat.shape
+    rows = np.kron(np.eye(n), np.ones(m))
+    cols = np.kron(np.ones(n), np.eye(m))
+    res = linprog(
+        mat.ravel(), A_ub=np.vstack([rows, cols]), b_ub=np.ones(n + m),
+        A_eq=np.ones((1, n * m)), b_eq=[k], bounds=(0.0, 1.0), method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_padded_route_matches_the_linear_program():
+    # k < min(n, m) takes the padded square; check it past brute-force sizes
+    rng = np.random.default_rng(6060)
+    for _ in range(20):
+        n, m = int(rng.integers(9, 41)), int(rng.integers(9, 61))
+        mat = rng.standard_exponential((n, m))
+        for k in sorted({1, min(n, m) // 3, min(n, m) - 1, min(n, m)}):
+            best = min_k_assignment(mat, k)
+            assert len(best.pairs) == k
+            assert math.isclose(best.total, _k_assignment_lp_total(mat, k), rel_tol=1e-9)
+
+
+def test_solver_loads_the_extension_without_scipy_optimize():
+    # the fallback import would pull in all of scipy.optimize and its memory
+    probe = (
+        "import sys, dynaclear.assignment as a\n"
+        "a.min_k_assignment([[2.0, 1.0], [1.0, 3.0]], 1)\n"
+        "print(a._lsap.__self__.__file__)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dynaclear.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    suffix = "_lsap" + sysconfig.get_config_var("EXT_SUFFIX")
+    assert out[0].endswith(os.path.join("scipy", "optimize", suffix))
+    assert out[1] == "False"
 
 
 def test_min_edge_equals_one_assignment():

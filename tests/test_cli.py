@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from dynaclear import oracles
+from dynaclear import cli, oracles
 from dynaclear.cli import main
 
 
@@ -192,10 +192,26 @@ def test_heterogeneous_rates_reject_large_grids(tmp_path, capsys):
     out = tmp_path / "hetero"
     code = main(
         ["simulate", "--schedule", "greedy", "--rate", "uniform:1:2",
-         "--matches", "1000", "--reps", "5", "--seed", "13", "--out", str(out)]
+         "--matches", "2500", "--reps", "5", "--seed", "13",
+         "--a-grid", "250,2500", "--out", str(out)]
     )
     assert code == 2
     assert "empirical patient denominator" in capsys.readouterr().err
+
+
+def test_coverage_is_checked_before_the_empirical_denominator(tmp_path, capsys, monkeypatch):
+    # a default a-grid some replications fall short of must fail before the
+    # denominator's patient runs and solves are spent
+    def never(*args, **kwargs):
+        raise AssertionError("empirical denominator built before the coverage check")
+
+    monkeypatch.setattr(cli, "empirical_patient_denominator", never)
+    code = main(
+        ["simulate", "--schedule", "greedy", "--rate", "uniform:0.5:2", "--horizon", "300",
+         "--reps", "100", "--seed", "1", "--out", str(tmp_path / "h")]
+    )
+    assert code == 2
+    assert "pass --a-grid with every point at or below that count" in capsys.readouterr().err
 
 
 def test_sweep_writes_per_schedule_directories(tmp_path):

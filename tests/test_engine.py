@@ -278,10 +278,11 @@ def test_patient_counts_only_mode_skips_the_assignment():
 
 
 def test_patient_entry_cap_guides_to_counts_only():
+    # about 2000 x 2000 waiting pairs at the horizon, over the 2.5e6 cap
     with pytest.raises(ValueError, match="collect_costs"):
-        run(PATIENT, UNIT, Horizon(1500.0), seed=4)
+        run(PATIENT, UNIT, Horizon(4000.0), seed=4)
     # the waiting-only path has no matrix to build, so the same run succeeds
-    run(PATIENT, UNIT, Horizon(1500.0), seed=4, collect_costs=False)
+    run(PATIENT, UNIT, Horizon(4000.0), seed=4, collect_costs=False)
 
 
 def test_patient_tape_with_match_target_does_not_retry():
