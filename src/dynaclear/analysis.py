@@ -168,21 +168,34 @@ def mean_stderr(values: Sequence[float]) -> Tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _stopped_short(traces, missing, reached, point: str, grid_arg: str) -> List[int]:
+    """The replications in `missing` that stopped before the grid point.
+
+    If none did, every one ran past it without capturing it, and that is
+    the CoverageError raised here.
+    """
+    short = [rep for rep in missing if not reached(traces[rep].summary)]
+    if missing and not short:
+        raise CoverageError(
+            f"{len(missing)} of {len(traces)} replications ran past {point} but did not "
+            f"capture it (reps {missing[:10]}...); pass it in the {grid_arg}= argument "
+            f"of run / run_ensemble",
+            missing,
+        )
+    return short
+
+
 def check_coverage(traces: Sequence[RunTrace], a_grid: Sequence[int]) -> None:
-    """Raise CoverageError at the first grid point some replication never reaches."""
+    """Raise CoverageError at the first grid point some replication did not capture."""
     for a in a_grid:
-        deficient = []
-        for rep, trace in enumerate(traces):
-            try:
-                trace.cost_at_match(a)
-            except LookupError:
-                deficient.append(rep)
-        if deficient:
+        missing = [rep for rep, trace in enumerate(traces) if a not in trace.a_grid]
+        short = _stopped_short(traces, missing, lambda s: s.a >= a, f"match {a}", "a_grid")
+        if short:
             raise CoverageError(
-                f"{len(deficient)} of {len(traces)} replications never reach "
-                f"match {a} (reps {deficient[:10]}...); the fewest matches any "
+                f"{len(short)} of {len(traces)} replications never reach "
+                f"match {a} (reps {short[:10]}...); the fewest matches any "
                 f"replication reached is {min(t.summary.a for t in traces)}",
-                deficient,
+                short,
             )
 
 
@@ -219,21 +232,16 @@ def waiting_ratio(
     for tau in tau_grid:
         if tau == 0.0:
             continue
-        values = []
-        deficient = []
-        for rep, trace in enumerate(traces):
-            try:
-                values.append(trace.wait_at(tau))
-            except LookupError:
-                deficient.append(rep)
-        if deficient:
+        missing = [rep for rep, trace in enumerate(traces) if tau not in trace.tau_grid]
+        short = _stopped_short(traces, missing, lambda s: s.tau >= tau, f"tau {tau}", "tau_grid")
+        if short:
             raise CoverageError(
-                f"{len(deficient)} of {len(traces)} replications stop before "
-                f"tau {tau} (reps {deficient[:10]}...)",
-                deficient,
+                f"{len(short)} of {len(traces)} replications stop before "
+                f"tau {tau} (reps {short[:10]}...)",
+                short,
             )
         den = oracles.greedy_expected_wait(tau)
-        mean, se = mean_stderr(values)
+        mean, se = mean_stderr([trace.wait_at(tau) for trace in traces])
         out.append(RatioEstimate(tau, mean / den, se / den, "analytic"))
     return out
 

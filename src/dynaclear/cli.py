@@ -228,14 +228,11 @@ def _write_traces(path: str, traced, config_hash: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["rep", "k", "time", "cost", "m_c", "m_p", "cum_cost", "cum_wait"])
         for rep, trace in traced:
-            for record, cum in zip(trace.records, trace.cum_costs()):
-                writer.writerow(
-                    [
-                        rep, record.k, repr(record.time), repr(record.cost),
-                        record.m_c, record.m_p, repr(cum),
-                        repr(trace.wait_at(record.time)),
-                    ]
-                )
+            for r in trace.records:
+                writer.writerow([
+                    rep, r.k, repr(r.time), repr(r.cost), r.m_c, r.m_p,
+                    repr(r.cum_cost), repr(r.cum_wait),
+                ])
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -297,13 +294,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         fits["beta_loglog"] = fit_growth([(e.x, e.ratio) for e in beta], LOG_LOG)
     write_fits_json(os.path.join(cfg.out, "fits.json"), fits, cfg_hash)
 
-    traced = []
-    for rep in range(min(cfg.reps, _TRACE_REPS)):
-        rep_seed = _rng.derive_seed(cfg.seed, rep)
-        try:
-            traced.append((rep, run(spec, cost_mode, stop, rep_seed, collect_costs=collect_costs)))
-        except ValueError:
-            break
+    # The ensemble has already run these seeds with the same settings, so
+    # anything a rerun could raise was raised there first.
+    traced = [
+        (rep, run(spec, cost_mode, stop, _rng.derive_seed(cfg.seed, rep),
+                  collect_costs=collect_costs))
+        for rep in range(min(cfg.reps, _TRACE_REPS))
+    ]
     _write_traces(os.path.join(cfg.out, "traces.csv"), traced, cfg_hash)
 
     summary = {

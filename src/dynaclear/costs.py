@@ -104,9 +104,7 @@ def draw_pair_cost(
     client_id: int, provider_id: int, model: RateModel, run_seed: int
 ) -> float:
     """Realized match cost w_ij, an exponential with rate rate_of(...)."""
-    base = _rng.stream_base(run_seed, _rng.SALT_COST)
-    u = _rng.u01(_rng.key2(base, client_id, provider_id))
-    return -math.log(u) / rate_of(client_id, provider_id, model, run_seed)
+    return pair_cost_at_event(client_id, provider_id, model, run_seed, run_seed)
 
 
 def _factors_np(ids: np.ndarray, salt: int, model: RateModel, run_seed: int) -> np.ndarray:

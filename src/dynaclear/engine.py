@@ -18,10 +18,9 @@ deterministic in the seed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,6 +96,8 @@ StopRule = Union[Horizon, MatchTarget]
 
 @dataclass(frozen=True)
 class MatchRecord:
+    """One match, with the run's cumulative cost and waiting integral just after it."""
+
     k: int
     time: float
     client_id: int
@@ -104,6 +105,8 @@ class MatchRecord:
     cost: float
     m_c: int
     m_p: int
+    cum_cost: float
+    cum_wait: float
 
 
 @dataclass(frozen=True)
@@ -125,57 +128,28 @@ class RunTrace:
     """Everything one replication produced.
 
     a_grid_costs / tau_grid_waits are exact captures taken while the run was
-    live; they let ensemble runs skip per-match records entirely.
+    live, and the only points cost_at_match / wait_at can read; they let
+    ensemble runs skip per-match records entirely.
     """
 
     records: List[MatchRecord]
-    wait_checkpoints: List[Tuple[float, float]]
     summary: RunSummary
     a_grid: Tuple[int, ...] = ()
     a_grid_costs: Tuple[float, ...] = ()
     tau_grid: Tuple[float, ...] = ()
     tau_grid_waits: Tuple[float, ...] = ()
-    _cum: Optional[List[float]] = field(default=None, repr=False, compare=False)
-
-    def cum_costs(self) -> List[float]:
-        """Prefix sums of record costs, in the engine's accumulation order."""
-        if self._cum is None:
-            total = 0.0
-            out = []
-            for r in self.records:
-                total += r.cost
-                out.append(total)
-            self._cum = out
-        return self._cum
 
     def cost_at_match(self, a: int) -> float:
-        if a >= 1:
-            try:
-                return self.a_grid_costs[self.a_grid.index(a)]
-            except (ValueError, IndexError):
-                pass
-            if a <= len(self.records):
-                return self.cum_costs()[a - 1]
-        raise LookupError(f"run reached {self.summary.a} matches, asked for {a}")
+        if a not in self.a_grid:
+            raise LookupError(f"cost at match {a} was not captured; a_grid is {self.a_grid}")
+        return self.a_grid_costs[self.a_grid.index(a)]
 
     def wait_at(self, tau: float) -> float:
         if tau == 0.0:
             return 0.0
-        try:
-            return self.tau_grid_waits[self.tau_grid.index(tau)]
-        except (ValueError, IndexError):
-            pass
-        cps = self.wait_checkpoints
-        if cps and 0.0 < tau <= cps[-1][0]:
-            i = bisect_right(cps, (tau, math.inf))
-            t1, w1 = cps[i - 1] if i >= 1 else (0.0, 0.0)
-            if t1 == tau:
-                return w1
-            if i < len(cps):
-                t0, w0 = cps[i - 1]
-                t2, w2 = cps[i]
-                return w0 + (w2 - w0) * (tau - t0) / (t2 - t0)
-        raise LookupError(f"run covers tau <= {self.summary.tau}, asked for {tau}")
+        if tau not in self.tau_grid:
+            raise LookupError(f"wait at tau {tau} was not captured; tau_grid is {self.tau_grid}")
+        return self.tau_grid_waits[self.tau_grid.index(tau)]
 
 
 def _mode_label(mode: CostMode) -> str:
@@ -212,11 +186,12 @@ def run(
     """Simulate one replication.
 
     The trace is a pure function of (spec, cost_mode, stop, seed, source).
-    collect_records (per-match records and per-event wait checkpoints) and
-    the capture grids only control what is materialized, except that
-    collect_costs=False skips cost draws entirely (costs report as 0.0); use
-    it for waiting-time ensembles where cost accounting at scale would
-    dominate the runtime.
+    collect_records (per-match records, each with the running cost and
+    waiting totals) and the capture grids only control what is materialized,
+    except that collect_costs=False skips cost draws entirely (costs report
+    as 0.0); use it for waiting-time ensembles where cost accounting at scale
+    would dominate the runtime.  cost_at_match / wait_at read only the points
+    of a_grid / tau_grid.
     """
     if not isinstance(spec, ScheduleSpec):
         raise TypeError("spec must be a ScheduleSpec")
@@ -240,6 +215,17 @@ def run(
 def _pick_index(u: float, n: int) -> int:
     i = int(u * n)
     return n - 1 if i >= n else i
+
+
+def _first_reaching(weights: Sequence[float], goal: float) -> int:
+    """First index whose running sum reaches goal, else the last index.
+
+    Row sums can drift a hair below zero after subtractions, so the running
+    sums need not be sorted: scan for the first hit instead of bisecting.
+    """
+    hit = np.cumsum(weights) >= goal
+    i = int(hit.argmax())
+    return i if hit[i] else len(hit) - 1
 
 
 def _run_threshold(
@@ -267,7 +253,6 @@ def _run_threshold(
     cum = 0.0
     arrivals = 0
     records: List[MatchRecord] = []
-    checkpoints: List[Tuple[float, float]] = [(0.0, 0.0)] if collect_records else []
     a_costs: List[float] = []
     tau_waits: List[float] = []
     t_pos = 0
@@ -318,24 +303,11 @@ def _run_threshold(
                 j = _pick_index(u_col, m_p)
                 total = cost_mode.lam_mean * m_c * m_p
             else:
-                total = math.fsum(row_sums[c] for c in pool_c)
-                acc = 0.0
-                i = m_c - 1
-                goal = u_row * total
-                for pos, c in enumerate(pool_c):
-                    acc += row_sums[c]
-                    if acc >= goal:
-                        i = pos
-                        break
+                sums = [row_sums[c] for c in pool_c]
+                total = math.fsum(sums)
+                i = _first_reaching(sums, u_row * total)
                 row = costs.rate_matrix([pool_c[i]], pool_p, cost_mode, seed)[0]
-                acc = 0.0
-                j = m_p - 1
-                goal = u_col * float(row.sum())
-                for pos in range(m_p):
-                    acc += row[pos]
-                    if acc >= goal:
-                        j = pos
-                        break
+                j = _first_reaching(row, u_col * float(row.sum()))
             cost = -math.log(u_cost) / total
         cid = pool_c[i]
         pid = pool_p[j]
@@ -384,15 +356,12 @@ def _run_threshold(
                     col = costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
                     for pos, c in enumerate(pool_c):
                         row_sums[c] += float(col[pos])
-            if collect_records:
-                checkpoints.append((clock, wait))
             while len(pool_c) >= need and len(pool_p) >= need:
                 a += 1
                 cid, pid, cost, m_c, m_p = clear_one()
                 cum += cost
                 if collect_records:
-                    records.append(MatchRecord(a, clock, cid, pid, cost, m_c, m_p))
-                    checkpoints.append((clock, wait))
+                    records.append(MatchRecord(a, clock, cid, pid, cost, m_c, m_p, cum, wait))
                 if a_pos < n_a and a == a_grid[a_pos]:
                     a_costs.append(cum)
                     a_pos += 1
@@ -403,14 +372,12 @@ def _run_threshold(
             if done:
                 break
 
-    if collect_records and checkpoints[-1][0] != clock:
-        checkpoints.append((clock, wait))
     summary = RunSummary(
         tau=clock, n_c=n_c, n_p=n_p, a=a, wait_integral=wait, total_cost=cum,
         seed=seed, schedule=spec.label(), mode=_mode_label(cost_mode),
     )
     trace = RunTrace(
-        records, checkpoints, summary,
+        records, summary,
         a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
         tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
     )
@@ -471,9 +438,10 @@ def _run_patient(
         cost = float(mat[i, j])
         cum += cost
         if collect_records:
-            records.append(
-                MatchRecord(idx + 1, summary.tau, pool_c[i], pool_p[j], cost, n_c - idx, n_p - idx)
-            )
+            records.append(MatchRecord(
+                idx + 1, summary.tau, pool_c[i], pool_p[j], cost, n_c - idx, n_p - idx,
+                cum, summary.wait_integral,
+            ))
         if len(a_costs) < len(a_grid) and idx + 1 == a_grid[len(a_costs)]:
             a_costs.append(cum)
     return replace(

@@ -92,7 +92,7 @@ def test_fcfs_matching_cost_is_one_per_match():
 
 def test_zero_cost_traces_give_zero_ratio():
     traces = [
-        run(GREEDY, UNIT, MatchTarget(30), seed=s, collect_costs=False)
+        run(GREEDY, UNIT, MatchTarget(30), seed=s, collect_costs=False, a_grid=(30,))
         for s in (1, 2, 3)
     ]
     (est,) = matching_ratio(traces, (30,))
@@ -100,11 +100,27 @@ def test_zero_cost_traces_give_zero_ratio():
 
 
 def test_matching_ratio_reports_deficient_replications():
-    traces = [run(GREEDY, UNIT, MatchTarget(10), seed=s) for s in (1, 2)]
+    traces = [run(GREEDY, UNIT, MatchTarget(10), seed=s, a_grid=(10, 50)) for s in (1, 2)]
     with pytest.raises(CoverageError) as err:
         matching_ratio(traces, (10, 50))
     assert err.value.deficient == (0, 1)
     assert "never reach match 50" in str(err.value)
+
+
+def test_coverage_errors_name_the_missing_capture():
+    # the runs went past the point, they just never captured it
+    traces = [
+        run(GREEDY, UNIT, MatchTarget(30), seed=s, collect_records=False) for s in (1, 2, 3)
+    ]
+    with pytest.raises(CoverageError) as err:
+        matching_ratio(traces, (30,))
+    assert err.value.deficient == (0, 1, 2)
+    assert "did not capture" in str(err.value) and "a_grid=" in str(err.value)
+    assert "never reach" not in str(err.value)
+    with pytest.raises(CoverageError) as err:
+        waiting_ratio(traces, (10.0,))
+    assert "did not capture" in str(err.value) and "tau_grid=" in str(err.value)
+    assert "stop before" not in str(err.value)
 
 
 def test_matching_ratio_validates_grid_and_traces():
@@ -118,7 +134,7 @@ def test_matching_ratio_validates_grid_and_traces():
 
 
 def test_waiting_ratio_drops_the_origin():
-    traces = [run(GREEDY, UNIT, Horizon(20.0), seed=s) for s in range(4)]
+    traces = [run(GREEDY, UNIT, Horizon(20.0), seed=s, tau_grid=(10.0, 20.0)) for s in range(4)]
     grid = (0.0, 10.0, 20.0)
     ests = waiting_ratio(traces, grid)
     assert [e.x for e in ests] == [10.0, 20.0]
@@ -128,9 +144,10 @@ def test_waiting_ratio_drops_the_origin():
 
 
 def test_waiting_ratio_is_pairing_rule_blind():
-    greedy = [run(GREEDY, UNIT, Horizon(50.0), seed=s) for s in range(6)]
-    fcfs = [run(FCFS, UNIT, Horizon(50.0), seed=s) for s in range(6)]
-    assert waiting_ratio(greedy, (25.0, 50.0)) == waiting_ratio(fcfs, (25.0, 50.0))
+    grid = (25.0, 50.0)
+    greedy = [run(GREEDY, UNIT, Horizon(50.0), seed=s, tau_grid=grid) for s in range(6)]
+    fcfs = [run(FCFS, UNIT, Horizon(50.0), seed=s, tau_grid=grid) for s in range(6)]
+    assert waiting_ratio(greedy, grid) == waiting_ratio(fcfs, grid)
 
 
 def test_waiting_ratio_level_matches_the_count_difference_law():
@@ -151,7 +168,7 @@ def test_waiting_ratio_level_matches_the_count_difference_law():
 
 
 def test_ratio_estimates_ignore_trace_order():
-    traces = [run(GREEDY, UNIT, MatchTarget(40), seed=s) for s in range(12)]
+    traces = [run(GREEDY, UNIT, MatchTarget(40), seed=s, a_grid=(10, 40)) for s in range(12)]
     before = matching_ratio(traces, (10, 40))
     shuffled = traces[:]
     random.Random(7).shuffle(shuffled)

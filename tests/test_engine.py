@@ -127,7 +127,7 @@ def test_wait_integral_matches_independent_replay(kind):
 )
 def test_conservation_and_single_fire_invariants(spec):
     for seed in range(8):
-        trace = run(spec, UNIT, Horizon(400.0), seed=seed)
+        trace = run(spec, UNIT, Horizon(400.0), seed=seed, tau_grid=(400.0,))
         s = trace.summary
         assert s.n_c >= s.a and s.n_p >= s.a
         ks = [r.k for r in trace.records]
@@ -139,10 +139,20 @@ def test_conservation_and_single_fire_invariants(spec):
             # the short side sits exactly at the threshold when the event
             # fires, which is the "at most one clearing per arrival" claim
             assert min(rec.m_c, rec.m_p) == threshold(spec, rec.k)
-        cps = trace.wait_checkpoints
-        assert all(b[0] >= a[0] and b[1] >= a[1] for a, b in zip(cps, cps[1:]))
-        assert cps[-1][0] == 400.0
-        assert math.isclose(cps[-1][1], s.wait_integral, rel_tol=1e-12)
+        # each record carries the loop's running totals: the cost sum in
+        # accumulation order, and a waiting integral that never decreases
+        running = 0.0
+        for rec in trace.records:
+            running += rec.cost
+            assert rec.cum_cost == running
+        waits = [r.cum_wait for r in trace.records]
+        assert waits == sorted(waits)
+        assert waits[-1] <= s.wait_integral == trace.wait_at(400.0)
+        # a match-target run stops at its last record, so the totals agree
+        target = run(spec, UNIT, MatchTarget(max(1, s.a)), seed=seed)
+        last = target.records[-1]
+        assert last.cum_cost == target.summary.total_cost
+        assert last.cum_wait == target.summary.wait_integral
 
 
 def test_identical_runs_are_identical():
@@ -270,11 +280,12 @@ def test_patient_match_target_retries_thin_seeds():
 
 
 def test_patient_counts_only_mode_skips_the_assignment():
-    trace = run(PATIENT, UNIT, Horizon(50.0), seed=4, collect_costs=False)
+    trace = run(PATIENT, UNIT, Horizon(50.0), seed=4, collect_costs=False, tau_grid=(50.0,))
     assert trace.summary.a == 0
     assert trace.summary.total_cost == 0.0
     assert trace.summary.wait_integral > 0.0
-    assert trace.wait_checkpoints[-1][0] == 50.0
+    assert trace.summary.tau == 50.0
+    assert trace.wait_at(50.0) == trace.summary.wait_integral
 
 
 def test_patient_entry_cap_guides_to_counts_only():
@@ -291,16 +302,19 @@ def test_patient_tape_with_match_target_does_not_retry():
         run(PATIENT, UNIT, MatchTarget(2), seed=1, source=tape)
 
 
-def test_wait_at_interpolates_between_checkpoints():
+def test_wait_at_reads_the_captured_grid():
     tape = TapeSource([(1.0, CLIENT), (3.0, CLIENT), (5.0, PROVIDER)])
-    trace = run(GREEDY, UNIT, Horizon(6.0), seed=2, source=tape)
+    trace = run(GREEDY, UNIT, Horizon(6.0), seed=2, source=tape, tau_grid=(2.0, 4.0, 5.0))
     # R = 1 on [1,3), so W(2) = 1; R = 2 on [3,5), so W(4) = 2 + 2
     assert trace.wait_at(0.0) == 0.0
-    assert math.isclose(trace.wait_at(2.0), 1.0, rel_tol=1e-12)
-    assert math.isclose(trace.wait_at(4.0), 4.0, rel_tol=1e-12)
-    assert math.isclose(trace.wait_at(5.0), 6.0, rel_tol=1e-12)
-    with pytest.raises(LookupError):
-        trace.wait_at(7.0)
+    assert trace.wait_at(2.0) == 1.0
+    assert trace.wait_at(4.0) == 4.0
+    assert trace.wait_at(5.0) == 6.0
+    assert trace.records[0].cum_wait == 6.0
+    # only captured points can be read: off the grid, or past the horizon
+    for tau in (3.0, 7.0):
+        with pytest.raises(LookupError):
+            trace.wait_at(tau)
 
 
 def test_grid_captures_agree_with_record_accounting():
@@ -313,14 +327,19 @@ def test_grid_captures_agree_with_record_accounting():
         tau_grid=(20.0, 80.0),
     )
     assert trace.a_grid == (10, 60, 120)
-    cums = trace.cum_costs()
     for a, captured in zip(trace.a_grid, trace.a_grid_costs):
-        assert math.isclose(captured, cums[a - 1], rel_tol=1e-12)
+        assert captured == trace.records[a - 1].cum_cost
         assert trace.cost_at_match(a) == captured
+    assert trace.tau_grid == (20.0, 80.0)
     for tau, captured in zip(trace.tau_grid, trace.tau_grid_waits):
-        assert math.isclose(trace.wait_at(tau), captured, rel_tol=1e-12)
-    with pytest.raises(LookupError):
-        trace.cost_at_match(121)
+        assert trace.wait_at(tau) == captured
+        # W is monotone, so the capture sits between the matches around tau
+        before = [r.cum_wait for r in trace.records if r.time <= tau]
+        after = [r.cum_wait for r in trace.records if r.time > tau]
+        assert before[-1] <= captured <= after[0]
+    for a in (11, 121):
+        with pytest.raises(LookupError):
+            trace.cost_at_match(a)
 
 
 

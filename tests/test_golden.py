@@ -1,4 +1,4 @@
-"""Golden output hashes: report bundles of five small configs, byte for byte.
+"""Golden output hashes: report bundles of six small configs, byte for byte.
 
 Each config runs `dynaclear` in process and the SHA-256 of every
 deterministic bundle file is compared with a stored digest, so a refactor
@@ -66,6 +66,19 @@ CONFIGS = {
             "ratios_beta.csv": "eb65394d6b7689059c6fe90fafddca1ba45bac702f912aa7d64f69b9a86ab2ec",
             "fits.json": "a05ff1c7e452b76991c1ac6983a0c92f1b538f44d36cf6045d6eea3b237ad737",
             "traces.csv": "3cd69ec1951e2fb38ac112b225847a3c8a6cb977002a28a6a9f26abb7b0e02ed",
+        },
+    ),
+    # constant-rate seam route: most traced clearing events sample the
+    # minimum past SEAM_PAIRS instead of pricing the pool matrix
+    "balanced-const": (
+        ["simulate", "--schedule", "balanced", "--rate", "const:1", "--matches", "2000",
+         "--reps", "6", "--seed", "16", "--a-grid", "20,100,500,1000,2000",
+         "--tau-grid", "200,400,800,1600,3200", "--jobs", "1"],
+        {
+            "ratios_alpha.csv": "56d8dee895c23bc31616f23ba97a7da554feef17fb77a0e6e95f59dd3f63a994",
+            "ratios_beta.csv": "46f3cb7c52d2a44409b012d0b657f3eafb8e9d37bbbc084088fbdbb4f2d78bf7",
+            "fits.json": "58f188f9af7f98a4236d133e6d14a8903976d2809f41c13237ac528ab76fa17e",
+            "traces.csv": "62a64ea042df12ad89e9c080f28725f2fe3ff30cb33cf3997dd176081c752a83",
         },
     ),
     # terminal optimal assignment at the horizon
