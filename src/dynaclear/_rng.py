@@ -5,8 +5,13 @@ from (seed, salt, indices) and finalized with the splitmix64 mixer.  Draws are
 therefore order-independent and re-queryable: asking for the cost of pair
 (i, j) twice, or in a different order, yields the same value.
 
-Two parallel implementations are kept in sync: plain-int for scalar queries
-(the engine's hot O(1) path) and numpy uint64 for vectorized blocks.
+Each key has a plain-int form and a numpy uint64 form that give the same
+bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
+would cost more than the mixing itself: seeds (stream_base, derive_seed,
+event_seed), the seam route's three pick uniforms and the FIFO route's single
+pair draw with its rate.  The uint64 forms serve every vectorized block;
+numpy integer arrays wrap at 64 bits without a warning (only numpy scalars
+warn), so they need no overflow guard.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
-_SH63 = np.uint64(63)
 
 _TO_UNIT = 2.0 ** -53
 
@@ -57,13 +61,12 @@ def mix64(x: int) -> int:
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array (wraparound is intended)."""
-    with np.errstate(over="ignore"):
-        x = x + _U64_GOLDEN
-        x = x ^ (x >> _SH30)
-        x = x * _U64_MUL1
-        x = x ^ (x >> _SH27)
-        x = x * _U64_MUL2
-        x = x ^ (x >> _SH31)
+    x = x + _U64_GOLDEN
+    x = x ^ (x >> _SH30)
+    x = x * _U64_MUL1
+    x = x ^ (x >> _SH27)
+    x = x * _U64_MUL2
+    x = x ^ (x >> _SH31)
     return x
 
 
@@ -82,19 +85,13 @@ def key2(base: int, i: int, j: int) -> int:
 
 def keys1_np(base: int, ids: np.ndarray) -> np.ndarray:
     """key1 over a vector of first-slot indices."""
-    with np.errstate(over="ignore"):
-        x = np.uint64(base & _MASK) + ids.astype(np.uint64, copy=False) * _U64_GOLDEN
-    return mix64_np(x)
+    return mix64_np(np.uint64(base & _MASK) + ids.astype(np.uint64, copy=False) * _U64_GOLDEN)
 
 
 def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     """key2 on the cartesian product, shape (len(is_), len(js))."""
-    with np.errstate(over="ignore"):
-        rows = mix64_np(
-            np.uint64(base & _MASK) + is_.astype(np.uint64, copy=False) * _U64_GOLDEN
-        )
-        x = rows[:, None] + js.astype(np.uint64, copy=False)[None, :] * _U64_INDEX2
-    return mix64_np(x)
+    rows = keys1_np(base, is_)
+    return mix64_np(rows[:, None] + js.astype(np.uint64, copy=False)[None, :] * _U64_INDEX2)
 
 
 def u01(h: int) -> float:
@@ -104,15 +101,6 @@ def u01(h: int) -> float:
 
 def u01_np(h: np.ndarray) -> np.ndarray:
     return ((h >> _SH11).astype(np.float64) + 0.5) * _TO_UNIT
-
-
-def coin(h: int) -> int:
-    """Top hash bit as a fair coin, 0 or 1."""
-    return h >> 63
-
-
-def coins_np(h: np.ndarray) -> np.ndarray:
-    return (h >> _SH63).astype(np.int8)
 
 
 def derive_seed(base_seed: int, index: int) -> int:

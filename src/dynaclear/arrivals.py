@@ -1,4 +1,4 @@
-"""Arrival streams of agents, and random-walk diagnostics.
+"""Arrival streams of agents, and the stopping-time diagnostics.
 
 Arrivals follow a rate-1 Poisson clock; each arrival is a client or a
 provider by a fair coin.  Interarrival gaps and side coins come from separate
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from . import _rng
 __all__ = [
     "CLIENT",
     "PROVIDER",
-    "WalkEstimate",
     "PoissonStream",
     "TapeSource",
     "load_tape",
-    "walk_abs_mean",
     "stopping_time_sample",
     "stopping_time_samples",
 ]
@@ -36,13 +34,13 @@ ARRIVAL_CAP = 10 ** 9
 _BLOCK = 4096
 
 
-class WalkEstimate(NamedTuple):
-    mean: float
-    stderr: float
-
-
 class PoissonStream:
-    """Rate-1 Poisson arrival stream with fair sides, deterministic in seed."""
+    """Rate-1 Poisson arrival stream with fair sides, deterministic in seed.
+
+    Arrival k (counted from 0) draws its gap and its side from key k of the
+    seed's SALT_GAP and SALT_COIN sub-streams; each take_block call draws the
+    next block afresh and keeps only the index and the clock.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -50,11 +48,9 @@ class PoissonStream:
         self._coin_base = _rng.stream_base(seed, _rng.SALT_COIN)
         self._index = 0
         self._time = 0.0
-        self._cache_times: List[float] = []
-        self._cache_sides: List[int] = []
-        self._cache_pos = 0
 
-    def _refill(self, n: int) -> None:
+    def take_block(self, n: int = _BLOCK) -> Tuple[List[float], List[int]]:
+        """Next n arrivals as (times, is_client) lists; never exhausts."""
         idx = np.arange(self._index, self._index + n, dtype=np.uint64)
         gaps = -np.log(_rng.u01_np(_rng.keys1_np(self._gap_base, idx)))
         times = self._time + np.cumsum(gaps)
@@ -66,23 +62,10 @@ class PoissonStream:
                 t = math.nextafter(prev, math.inf)
                 out[i] = t
             prev = t
-        sides = _rng.coins_np(_rng.keys1_np(self._coin_base, idx)).tolist()
-        self._cache_times = out
-        self._cache_sides = sides
-        self._cache_pos = 0
+        sides = (_rng.keys1_np(self._coin_base, idx) >> np.uint64(63)).tolist()
         self._index += n
         self._time = out[-1]
-
-    def take_block(self, n: int = _BLOCK) -> Tuple[List[float], List[int]]:
-        """Next n arrivals as (times, is_client) lists; never exhausts."""
-        if self._cache_pos < len(self._cache_times):
-            lo = self._cache_pos
-            self._cache_pos = len(self._cache_times)
-            return self._cache_times[lo:], self._cache_sides[lo:]
-        self._refill(n)
-        self._cache_pos = len(self._cache_times)
-        return self._cache_times, self._cache_sides
-
+        return out, sides
 
 
 class TapeSource:
@@ -124,42 +107,6 @@ def load_tape(path: str) -> TapeSource:
         for row in reader:
             rows.append((float(row["time"]), row["side"].strip()))
     return TapeSource(rows)
-
-
-def _coin_bases(base_seed: int, reps: int) -> np.ndarray:
-    return np.array(
-        [
-            _rng.stream_base(_rng.derive_seed(base_seed, r), _rng.SALT_COIN)
-            for r in range(reps)
-        ],
-        dtype=np.uint64,
-    )
-
-
-def walk_abs_mean(k: int, reps: int, seed: int) -> WalkEstimate:
-    """Monte Carlo estimate of E|S_k| with its standard error.
-
-    Uses the same side coins the arrival stream would produce for the derived
-    per-replication seeds, so the walk is exactly the client/provider
-    imbalance after k arrivals.
-    """
-    if k < 0 or reps < 1:
-        raise ValueError("need k >= 0 and reps >= 1")
-    if k == 0:
-        return WalkEstimate(0.0, 0.0)
-    bases = _coin_bases(seed, reps)
-    abs_s = np.empty(reps, dtype=np.float64)
-    chunk = max(1, min(reps, (1 << 24) // max(k, 1)))
-    idx = np.arange(k, dtype=np.uint64) * np.uint64(_rng._GOLDEN)
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        with np.errstate(over="ignore"):
-            keys = _rng.mix64_np(bases[lo:hi, None] + idx[None, :])
-        steps = 2 * _rng.coins_np(keys).astype(np.int32) - 1
-        abs_s[lo:hi] = np.abs(steps.sum(axis=1))
-    mean = float(abs_s.mean())
-    stderr = float(abs_s.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return WalkEstimate(mean, stderr)
 
 
 def stopping_time_sample(k: int, c: int, seed: int) -> int:
@@ -207,17 +154,18 @@ def stopping_time_samples(k: int, c: int, reps: int, base_seed: int) -> np.ndarr
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
-    bases = _coin_bases(base_seed, reps)
+    bases = np.array(
+        [_rng.stream_base(_rng.derive_seed(base_seed, r), _rng.SALT_COIN) for r in range(reps)],
+        dtype=np.uint64,
+    )
     n_clients = np.zeros(reps, dtype=np.int64)
     n_providers = np.zeros(reps, dtype=np.int64)
     fired = np.zeros(reps, dtype=np.int64)
     result = np.full(reps, -1, dtype=np.int64)
     active = np.ones(reps, dtype=bool)
     step = 0
-    golden = np.uint64(_rng._GOLDEN)
     while active.any():
-        with np.errstate(over="ignore"):
-            keys = _rng.mix64_np(bases + np.uint64(step) * golden)
+        keys = _rng.mix64_np(bases + np.uint64(step * _rng._GOLDEN & _rng._MASK))
         bits = (keys >> np.uint64(63)).astype(np.int64)
         n_clients += bits * active
         n_providers += (1 - bits) * active

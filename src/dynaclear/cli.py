@@ -137,7 +137,10 @@ def _config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _build_config(args: argparse.Namespace, command: str, schedule: str) -> ExperimentConfig:
+def _build_config(
+    args: argparse.Namespace, command: str, schedule: Optional[str] = None
+) -> ExperimentConfig:
+    """The run's config from the flags, then the --config file; `schedule` overrides both."""
     file_cfg: Dict[str, object] = {}
     if getattr(args, "config", None):
         try:
@@ -156,6 +159,12 @@ def _build_config(args: argparse.Namespace, command: str, schedule: str) -> Expe
             return file_cfg[name]
         return default
 
+    if schedule is None:
+        schedule = pick("schedule")
+    if schedule is None:
+        raise ConfigError("--schedule is required")
+    if not isinstance(schedule, str):
+        raise ConfigError(f"schedule must be a spec such as greedy or power:0.5, got {schedule!r}")
     matches = pick("matches")
     horizon = pick("horizon")
     if matches is not None:
@@ -339,13 +348,7 @@ def _sanitize(label: str) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    schedule = args.schedule
-    if schedule is None and args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            schedule = json.load(fh).get("schedule")
-    if schedule is None:
-        raise ConfigError("--schedule is required")
-    return run_experiment(_build_config(args, "simulate", schedule))
+    return run_experiment(_build_config(args, "simulate"))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -149,7 +149,9 @@ def pair_cost_at_event(
     """
     base = _rng.stream_base(event_seed, _rng.SALT_COST)
     u = _rng.u01(_rng.key2(base, client_id, provider_id))
-    return -math.log(u) / rate_of(client_id, provider_id, model, run_seed)
+    # np.log, not math.log: the two differ in the last bit on a few inputs,
+    # and this draw must equal cost_matrix_at_event's entry bit for bit
+    return -float(np.log(u)) / rate_of(client_id, provider_id, model, run_seed)
 
 
 def cost_matrix_at_event(

@@ -238,14 +238,15 @@ def _run_threshold(
     """
     micro = isinstance(cost_mode, RateModel)
     fifo = spec.kind == FCFS or not micro
-    hetero = micro and collect_costs and cost_mode.mode != CONSTANT
+    hetero = not fifo and collect_costs and cost_mode.mode != CONSTANT
     horizon = stop.tau_max if isinstance(stop, Horizon) else None
     target = stop.a_max if isinstance(stop, MatchTarget) else None
     src = source if source is not None else PoissonStream(seed)
 
     pool_c: Union[deque, list] = deque() if fifo else []
     pool_p: Union[deque, list] = deque() if fifo else []
-    row_sums = {} if hetero else None
+    # row_sums[i] = sum of the rates of client pool_c[i] to every present provider
+    row_sums = np.empty(0) if hetero else None
 
     clock = 0.0
     wait = 0.0
@@ -272,6 +273,7 @@ def _run_threshold(
         clock = to_t
 
     def clear_one() -> Tuple[int, int, float, int, int]:
+        nonlocal row_sums
         m_c = len(pool_c)
         m_p = len(pool_p)
         if fifo:
@@ -303,20 +305,17 @@ def _run_threshold(
                 j = _pick_index(u_col, m_p)
                 total = cost_mode.lam_mean * m_c * m_p
             else:
-                sums = [row_sums[c] for c in pool_c]
-                total = math.fsum(sums)
-                i = _first_reaching(sums, u_row * total)
+                total = math.fsum(row_sums.tolist())
+                i = _first_reaching(row_sums, u_row * total)
                 row = costs.rate_matrix([pool_c[i]], pool_p, cost_mode, seed)[0]
                 j = _first_reaching(row, u_col * float(row.sum()))
             cost = -math.log(u_cost) / total
         cid = pool_c[i]
         pid = pool_p[j]
         if row_sums is not None:
-            del row_sums[cid]
-            col = costs.rate_matrix(pool_c, [pid], cost_mode, seed)[:, 0]
-            for pos, c in enumerate(pool_c):
-                if c != cid:
-                    row_sums[c] -= float(col[pos])
+            row_sums -= costs.rate_matrix(pool_c, [pid], cost_mode, seed)[:, 0]
+            row_sums[i] = row_sums[-1]
+            row_sums = row_sums[:-1]
         pool_c[i] = pool_c[-1]
         pool_c.pop()
         pool_p[j] = pool_p[-1]
@@ -344,18 +343,15 @@ def _run_threshold(
                 n_c += 1
                 pool_c.append(arrivals)
                 if row_sums is not None:
+                    s = 0.0
                     if pool_p:
-                        r = costs.rate_matrix([arrivals], pool_p, cost_mode, seed)[0]
-                        row_sums[arrivals] = float(r.sum())
-                    else:
-                        row_sums[arrivals] = 0.0
+                        s = costs.rate_matrix([arrivals], pool_p, cost_mode, seed).sum()
+                    row_sums = np.append(row_sums, s)
             else:
                 n_p += 1
                 pool_p.append(arrivals)
                 if row_sums is not None and pool_c:
-                    col = costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
-                    for pos, c in enumerate(pool_c):
-                        row_sums[c] += float(col[pos])
+                    row_sums += costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
             while len(pool_c) >= need and len(pool_p) >= need:
                 a += 1
                 cid, pid, cost, m_c, m_p = clear_one()

@@ -1,4 +1,4 @@
-"""Arrival stream, tape source, and the walk / stopping-time diagnostics."""
+"""Arrival stream, tape source, the walk lemma and the stopping-time diagnostics."""
 
 import math
 
@@ -16,7 +16,6 @@ from dynaclear.arrivals import (
     load_tape,
     stopping_time_sample,
     stopping_time_samples,
-    walk_abs_mean,
 )
 from dynaclear.costs import RateModel
 from dynaclear.engine import Horizon, run
@@ -95,37 +94,20 @@ def test_load_tape_rejects_wrong_header(tmp_path):
         load_tape(str(path))
 
 
-def test_walk_mean_trivial_values():
-    assert walk_abs_mean(0, 10, 1) == (0.0, 0.0)
-    est = walk_abs_mean(1, 500, 1)
-    assert est.mean == 1.0 and est.stderr == 0.0
-
-
-def test_walk_uses_the_stream_side_coins():
-    # |S_k| of replication r must equal the imbalance of the arrival stream
-    # run with the same derived seed, or the diagnostic measures a different
-    # walk than the market actually performs.
-    seed, k = 91, 257
-    single = walk_abs_mean(k, 1, seed)
-    _, sides = _drain(PoissonStream(_rng.derive_seed(seed, 0)), k)
-    imbalance = abs(sum(2 * s - 1 for s in sides))
-    assert single.mean == float(imbalance)
-
-
 @pytest.mark.parametrize("k", [4, 16, 64, 256])
 def test_walk_mean_matches_exact_value(k):
-    est = walk_abs_mean(k, 100_000, 5150 + k)
-    exact = oracles.expected_abs_walk(k)
-    assert abs(est.mean - exact) <= 3.0 * est.stderr
+    # |S_k| is the client/provider imbalance after the first k arrivals of
+    # the market's own stream, one stream per derived replication seed
+    seed, reps = 5150 + k, 10_000
+    abs_s = np.empty(reps)
+    for r in range(reps):
+        _, sides = PoissonStream(_rng.derive_seed(seed, r)).take_block(k)
+        abs_s[r] = abs(2 * sum(sides) - k)
+    mean = abs_s.mean()
+    stderr = abs_s.std(ddof=1) / math.sqrt(reps)
+    assert abs(mean - oracles.expected_abs_walk(k)) <= 3.0 * stderr
     root = math.sqrt(k)
-    assert 0.67 * root <= est.mean <= 1.23 * root
-
-
-def test_walk_mean_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        walk_abs_mean(-1, 10, 0)
-    with pytest.raises(ValueError):
-        walk_abs_mean(3, 0, 0)
+    assert 0.67 * root <= mean <= 1.23 * root
 
 
 @given(seed=st.integers(0, 2**62))

@@ -281,7 +281,13 @@ def test_horizon_run_coverage_error_names_the_a_grid_fix(tmp_path, capsys):
 
 def test_config_errors_exit_two(tmp_path, capsys):
     out = str(tmp_path / "x")
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text('{"schedule": 5}')
     cases = [
+        ["simulate", "--config", str(listed), "--matches", "10", "--seed", "1", "--out", out],
+        ["simulate", "--config", str(numbered), "--matches", "10", "--seed", "1", "--out", out],
         ["simulate", "--schedule", "greedy", "--matches", "10", "--horizon", "5",
          "--seed", "1", "--out", out],
         ["simulate", "--schedule", "greedy", "--matches", "10", "--out", out],

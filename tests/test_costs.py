@@ -111,13 +111,15 @@ def test_unit_cost_draws_pass_kolmogorov_smirnov():
 
 
 def test_matrix_draws_equal_scalar_draws():
-    model = RateModel.product_form(0.5, 2.0)
-    clients = [2, 5, 9]
-    providers = [4, 5]
-    mat = cost_matrix(clients, providers, model, 123)
-    for i, c in enumerate(clients):
-        for j, p in enumerate(providers):
-            assert mat[i, j] == draw_pair_cost(c, p, model, 123)
+    # 2400 pairs per model: math.log and np.log disagree in the last bit on
+    # about 0.3 % of uniforms, so a few pairs would not catch a mixed pairing
+    clients = list(range(1, 61))
+    providers = list(range(1000, 1040))
+    for model in MODELS:
+        mat = cost_matrix(clients, providers, model, 123)
+        for i, c in enumerate(clients):
+            for j, p in enumerate(providers):
+                assert mat[i, j] == draw_pair_cost(c, p, model, 123), (model, c, p)
 
 
 def test_event_seed_equal_to_run_seed_reproduces_base_draws():

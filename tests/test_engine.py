@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from dynaclear import _rng
+from dynaclear import _rng, costs
 from dynaclear.arrivals import CLIENT, PROVIDER, PoissonStream, TapeSource
 from dynaclear.assignment import min_k_assignment
 from dynaclear.costs import RateModel, cost_matrix, draw_pair_cost
@@ -438,6 +438,24 @@ def test_sampled_route_heterogeneous_cost_law():
     arr = np.array(normalized)
     se = arr.std(ddof=1) / math.sqrt(arr.size)
     assert abs(arr.mean() - 1.0) <= 3.0 * se
+
+
+def test_fcfs_never_prices_rate_rows(monkeypatch):
+    # FIFO pairing prices each match as one scalar draw, so the
+    # heterogeneous row sums would be dead weight on every arrival
+    calls = []
+    real = costs.rate_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(costs, "rate_matrix", counting)
+    model = RateModel.uniform_iid(0.5, 2.0)
+    run(FCFS, model, MatchTarget(300), seed=5)
+    assert calls == []
+    run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=5)
+    assert calls
 
 
 def test_greedy_dominates_patient_in_expectation_on_fixed_tapes():

@@ -65,7 +65,7 @@ CONFIGS = {
             "ratios_alpha.csv": "41a214f4d3c78073f137de8c3d2f2f1ac583eb138a41c158b348cff903c21ad3",
             "ratios_beta.csv": "eb65394d6b7689059c6fe90fafddca1ba45bac702f912aa7d64f69b9a86ab2ec",
             "fits.json": "a05ff1c7e452b76991c1ac6983a0c92f1b538f44d36cf6045d6eea3b237ad737",
-            "traces.csv": "3cd69ec1951e2fb38ac112b225847a3c8a6cb977002a28a6a9f26abb7b0e02ed",
+            "traces.csv": "d0f3c671b373a3f6579d59e1aec2d2f3e2d6facef89c883546e1f9c4cb32f279",
         },
     ),
     # constant-rate seam route: most traced clearing events sample the
