@@ -8,10 +8,11 @@ therefore order-independent and re-queryable: asking for the cost of pair
 Each key has a plain-int form and a numpy uint64 form that give the same
 bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
 would cost more than the mixing itself: seeds (stream_base, derive_seed,
-event_seed), the seam route's three pick uniforms and the FIFO route's single
-pair draw with its rate.  The uint64 forms serve every vectorized block;
-numpy integer arrays wrap at 64 bits without a warning (only numpy scalars
-warn), so they need no overflow guard.
+event_seeds), the seam route's three pick uniforms, the FIFO route's single
+pair draw with its rate, and the row key of a one-client pool block.  The
+uint64 forms serve every vectorized block; numpy integer arrays wrap at 64
+bits without a warning (only numpy scalars warn), so they need no overflow
+guard.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mix64_into(x: np.ndarray) -> np.ndarray:
+    """mix64_np over a fresh uint64 array, in place, so no step allocates."""
+    x += _U64_GOLDEN
+    x ^= x >> _SH30
+    x *= _U64_MUL1
+    x ^= x >> _SH27
+    x *= _U64_MUL2
+    x ^= x >> _SH31
+    return x
+
+
 def stream_base(seed: int, salt: int) -> int:
     """Base key of the (seed, salt) sub-stream."""
     return mix64((seed & _MASK) ^ salt)
@@ -94,6 +106,21 @@ def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     return mix64_np(rows[:, None] + js.astype(np.uint64, copy=False)[None, :] * _U64_INDEX2)
 
 
+def keys2_block_np(base: int, is_: list, js: list) -> np.ndarray:
+    """keys2_outer_np for a clearing event's pools of int ids, mixed in place.
+
+    A single first-slot index takes its row key from the plain-int key1, so
+    a 1 x m block costs one vector mix instead of two.
+    """
+    keys = np.asarray(js, dtype=np.uint64) * _U64_INDEX2
+    if len(is_) == 1:
+        keys += np.uint64(key1(base, int(is_[0])))
+        keys = keys[None, :]
+    else:
+        keys = keys1_np(base, np.asarray(is_, dtype=np.uint64))[:, None] + keys
+    return _mix64_into(keys)
+
+
 def u01(h: int) -> float:
     """Map a 64-bit hash to a uniform strictly inside (0, 1)."""
     return ((h >> 11) + 0.5) * _TO_UNIT
@@ -108,12 +135,17 @@ def derive_seed(base_seed: int, index: int) -> int:
     return key1(stream_base(base_seed, SALT_REPLICATION), index)
 
 
-def event_seed(run_seed: int, k: int) -> int:
-    """Seed under which clearing event k draws its fresh pair costs.
+def event_seeds(run_seed: int):
+    """k -> the seed under which clearing event k draws its fresh pair costs.
 
     The first event uses the run seed itself, so single-event runs see exactly
-    the canonical per-pair draws; later events use derived seeds.
+    the canonical per-pair draws; later events use seeds derived from one
+    per-run stream base.
     """
-    if k == 1:
-        return run_seed & _MASK
-    return key1(stream_base(run_seed, SALT_EVENT), k)
+    first = run_seed & _MASK
+    base = stream_base(run_seed, SALT_EVENT)
+
+    def event_seed(k: int) -> int:
+        return first if k == 1 else key1(base, k)
+
+    return event_seed

@@ -35,7 +35,16 @@ from .analysis import (
     write_ratio_csv,
 )
 from .costs import CONSTANT, RateModel
-from .engine import DecayModel, Horizon, MatchTarget, check_grid, run, run_ensemble
+from .engine import (
+    DecayModel,
+    Horizon,
+    MatchTarget,
+    PoolCapError,
+    check_cost_mode,
+    check_grid,
+    run,
+    run_ensemble,
+)
 from .schedules import parse_schedule
 
 __all__ = ["ExperimentConfig", "ConfigError", "run_experiment", "main"]
@@ -127,6 +136,37 @@ def _default_tau_grid(top: float) -> Tuple[float, ...]:
     return tuple(top / 10 ** (d / 2.0) for d in range(4, -1, -1))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_grid(item_ok):
+    return lambda v: isinstance(v, str) or isinstance(v, list) and all(map(item_ok, v))
+
+
+# The JSON type each --config key takes, and how to name it; flags arrive
+# typed by argparse.  null stands for an absent key.
+_FILE_TYPES = {
+    "schedule": (lambda v: isinstance(v, str), "a string such as greedy or power:0.5"),
+    "rate": (lambda v: isinstance(v, str), "a string such as const:1"),
+    "out": (lambda v: isinstance(v, str), "a path string"),
+    "matches": (_is_int, "an integer"),
+    "reps": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "jobs": (_is_int, "an integer"),
+    "horizon": (_is_number, "a number"),
+    "delta": (_is_number, "a number"),
+    "scale": (_is_number, "a number"),
+    "a_grid": (_is_grid(_is_int), "a list of integers or a comma-separated string"),
+    "tau_grid": (_is_grid(_is_number), "a list of numbers or a comma-separated string"),
+    "no_costs": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def _config_hash(cfg: ExperimentConfig) -> str:
     # out/jobs/command do not affect the numbers, so the hash names the
     # experiment itself and stays stable across folders and worker counts.
@@ -150,6 +190,10 @@ def _build_config(
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
+        for name, value in file_cfg.items():
+            ok, kind = _FILE_TYPES.get(name, (None, None))
+            if ok is not None and value is not None and not ok(value):
+                raise ConfigError(f"{args.config}: {name} must be {kind}, got {value!r}")
 
     def pick(name: str, default=None):
         flag = getattr(args, name, None)
@@ -163,14 +207,15 @@ def _build_config(
         schedule = pick("schedule")
     if schedule is None:
         raise ConfigError("--schedule is required")
-    if not isinstance(schedule, str):
-        raise ConfigError(f"schedule must be a spec such as greedy or power:0.5, got {schedule!r}")
     matches = pick("matches")
     horizon = pick("horizon")
     if matches is not None:
         matches = int(matches)
     if horizon is not None:
         horizon = float(horizon)
+        # checked before the default grids scale with it
+        if not (horizon > 0.0 and math.isfinite(horizon)):
+            raise ConfigError(f"horizon must be positive and finite, got {horizon}")
 
     a_grid = pick("a_grid")
     if isinstance(a_grid, str):
@@ -244,14 +289,24 @@ def _write_traces(path: str, traced, config_hash: str) -> None:
                 ])
 
 
+def _run_inputs(cfg: ExperimentConfig):
+    """(schedule spec, cost mode, stop rule) of a config; a value they reject is a ConfigError."""
+    try:
+        spec = parse_schedule(cfg.schedule)
+        if cfg.delta is not None:
+            cost_mode = DecayModel(delta=cfg.delta, scale=cfg.scale)
+        else:
+            cost_mode = _parse_rate(cfg.rate)
+        stop = MatchTarget(cfg.matches) if cfg.matches is not None else Horizon(cfg.horizon)
+        check_cost_mode(spec, cost_mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return spec, cost_mode, stop
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run the ensemble an ExperimentConfig describes and write the report bundle."""
-    spec = parse_schedule(cfg.schedule)
-    if cfg.delta is not None:
-        cost_mode = DecayModel(delta=cfg.delta, scale=cfg.scale)
-    else:
-        cost_mode = _parse_rate(cfg.rate)
-    stop = MatchTarget(cfg.matches) if cfg.matches is not None else Horizon(cfg.horizon)
+    spec, cost_mode, stop = _run_inputs(cfg)
     collect_costs = not cfg.no_costs
     empirical = (
         collect_costs and isinstance(cost_mode, RateModel) and cost_mode.mode != CONSTANT
@@ -265,11 +320,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     cfg_hash = _config_hash(cfg)
     os.makedirs(cfg.out, exist_ok=True)
 
-    traces = run_ensemble(
-        spec, cost_mode, stop, cfg.seed, cfg.reps, jobs=cfg.jobs,
-        collect_costs=collect_costs, collect_records=False,
-        a_grid=cfg.a_grid if collect_costs else (), tau_grid=cfg.tau_grid,
-    )
+    try:
+        traces = run_ensemble(
+            spec, cost_mode, stop, cfg.seed, cfg.reps, jobs=cfg.jobs,
+            collect_costs=collect_costs, collect_records=False,
+            a_grid=cfg.a_grid if collect_costs else (), tau_grid=cfg.tau_grid,
+        )
+    except PoolCapError as exc:
+        raise ConfigError(f"{exc}; on the command line that is --no-costs") from None
 
     alpha = []
     denominator_tag = "analytic"
@@ -387,6 +445,14 @@ def _cmd_gmode(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    try:
+        _print_oracle(args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return 0
+
+
+def _print_oracle(args: argparse.Namespace) -> None:
     name = args.name
     if name == "buck":
         value = oracles.expected_min_k_assignment(args.nc, args.np_, args.k)
@@ -406,14 +472,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(repr(oracles.expected_arrivals_two_each()))
     else:
         raise ConfigError(f"unknown oracle {name!r}")
-    return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     only = None
     if args.only:
         only = [t for chunk in args.only for t in chunk.split(",") if t]
-    results = validation.run_criteria(only=only, jobs=_worker_count(args.jobs))
+    jobs = _worker_count(args.jobs)
+    try:
+        results = validation.run_criteria(only=only, jobs=jobs)
+    except ValueError as exc:
+        # criteria report their own failures as results, so the only
+        # ValueError out of run_criteria is an --only that selects nothing
+        raise ConfigError(str(exc)) from None
     for r in results:
         mark = "ok  " if r.passed else "FAIL"
         print(f"{mark} {r.number:2d} {r.name:<22s} {r.seconds:7.1f}s  {r.detail}")
@@ -506,10 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CoverageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, CoverageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,14 +5,29 @@ matched; the waiting integral of the unmatched count is accrued exactly
 between events.  Costs come either from the exponential pair-cost model or
 from a count-decay law.
 
-Each clearing event draws its own fresh costs, keyed by event_seed(run_seed,
-k).  The first event reuses the run seed itself, so runs with a single
-clearing event (hand tapes, the patient terminal assignment) see exactly the
-canonical per-pair draws of the cost model.  Above SEAM_PAIRS present pairs
-the engine samples the minimum-cost couple from the exact exponential-minimum
-law instead of materializing the matrix; both paths realize the same
-distribution and the switch depends only on pool sizes, so runs stay
-deterministic in the seed.
+Each clearing event draws its own fresh costs, keyed by the seed that
+_rng.event_seeds(run_seed) gives event k.  The first event reuses the run
+seed itself, so runs with a single clearing event (hand tapes, the patient
+terminal assignment) see exactly the canonical per-pair draws of the cost
+model.
+
+A run picks its pricer once, from its cost mode and schedule:
+- FIFO (fcfs under a rate model): one scalar draw for the two oldest agents;
+- decay: the count-decay law, paired FIFO;
+- constant rate: up to SEAM_PAIRS present pairs, costs.cheapest_pair_at_event
+  takes the first argmax of the pairs' uniforms and one log.  The cost
+  -log(u)/lambda falls as u rises, and argmin and argmax both take the first
+  index on ties, so this is the matrix argmin bit for bit without the matrix.
+  Above SEAM_PAIRS the couple is a uniform row and column pick and the cost
+  an exponential in lambda * m_c * m_p;
+- heterogeneous rates: up to SEAM_PAIRS, the argmin of the event's cost
+  matrix; above, a row pick by the running row sums of the rates, a column
+  pick by that row's rates and an exponential in the total rate.
+Above the seam both routes sample the minimum-cost couple from the exact
+exponential-minimum law instead of materializing the matrix; each realizes
+the matrix route's distribution, and the switch depends only on pool sizes,
+so runs stay deterministic in the seed.  Runs without cost accounting pair
+agents unpriced.
 """
 
 from __future__ import annotations
@@ -38,6 +53,8 @@ __all__ = [
     "MatchRecord",
     "RunSummary",
     "RunTrace",
+    "PoolCapError",
+    "check_cost_mode",
     "run",
     "run_ensemble",
 ]
@@ -152,6 +169,16 @@ class RunTrace:
         return self.tau_grid_waits[self.tau_grid.index(tau)]
 
 
+class PoolCapError(ValueError):
+    """A patient terminal assignment would price more than _PATIENT_ENTRY_CAP pairs."""
+
+
+def check_cost_mode(spec: ScheduleSpec, cost_mode: CostMode) -> None:
+    """Raise ValueError when the schedule cannot price its matches under cost_mode."""
+    if isinstance(cost_mode, DecayModel) and spec.kind in (PATIENT, FCFS):
+        raise ValueError(f"decay cost mode is incompatible with {spec.kind}")
+
+
 def _mode_label(mode: CostMode) -> str:
     if isinstance(mode, RateModel):
         return f"micro:{mode.mode}"
@@ -199,8 +226,7 @@ def run(
         raise TypeError("cost_mode must be a RateModel or DecayModel")
     if not isinstance(stop, (Horizon, MatchTarget)):
         raise TypeError("stop must be Horizon or MatchTarget")
-    if isinstance(cost_mode, DecayModel) and spec.kind in (PATIENT, FCFS):
-        raise ValueError(f"decay cost mode is incompatible with {spec.kind}")
+    check_cost_mode(spec, cost_mode)
     a_grid = check_grid("a_grid", a_grid, int)
     tau_grid = check_grid("tau_grid", tau_grid, float)
     if spec.kind == PATIENT:
@@ -228,6 +254,12 @@ def _first_reaching(weights: Sequence[float], goal: float) -> int:
     return i if hit[i] else len(hit) - 1
 
 
+def _seam_uniforms(event_seed: int) -> Tuple[float, float, float]:
+    """The seam route's row, column and cost uniforms for one event."""
+    base = _rng.stream_base(event_seed, _rng.SALT_PICK)
+    return _rng.u01(_rng.key1(base, 0)), _rng.u01(_rng.key1(base, 1)), _rng.u01(_rng.key1(base, 2))
+
+
 def _run_threshold(
     spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
 ):
@@ -242,6 +274,7 @@ def _run_threshold(
     horizon = stop.tau_max if isinstance(stop, Horizon) else None
     target = stop.a_max if isinstance(stop, MatchTarget) else None
     src = source if source is not None else PoissonStream(seed)
+    event_seed = _rng.event_seeds(seed)
 
     pool_c: Union[deque, list] = deque() if fifo else []
     pool_p: Union[deque, list] = deque() if fifo else []
@@ -272,55 +305,73 @@ def _run_threshold(
         wait += r * (to_t - clock)
         clock = to_t
 
-    def clear_one() -> Tuple[int, int, float, int, int]:
+    # The pricers: each clears event k on pools of m_c clients and m_p
+    # providers and returns (client id, provider id, cost).  The run picks
+    # one from its cost mode; only the switch between a small-pool route and
+    # a seam route depends on the event's pool sizes.
+
+    def take(i: int, j: int) -> Tuple[int, int]:
+        cid = pool_c[i]
+        pid = pool_p[j]
+        pool_c[i] = pool_c[-1]
+        pool_c.pop()
+        pool_p[j] = pool_p[-1]
+        pool_p.pop()
+        return cid, pid
+
+    def clear_fifo_unpriced(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
+        return pool_c.popleft(), pool_p.popleft(), 0.0
+
+    def clear_fifo(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
+        cid = pool_c.popleft()
+        pid = pool_p.popleft()
+        return cid, pid, costs.pair_cost_at_event(cid, pid, cost_mode, seed, event_seed(k))
+
+    def clear_decay(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
+        return pool_c.popleft(), pool_p.popleft(), cost_mode.cost(m_c, m_p)
+
+    def clear_unpriced(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
+        return pool_c.pop(), pool_p.pop(), 0.0
+
+    def clear_constant(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
+        es = event_seed(k)
+        if m_c * m_p <= SEAM_PAIRS:
+            i, j, cost = costs.cheapest_pair_at_event(pool_c, pool_p, cost_mode.lam_mean, es)
+        else:
+            u_row, u_col, u_cost = _seam_uniforms(es)
+            i = _pick_index(u_row, m_c)
+            j = _pick_index(u_col, m_p)
+            cost = -math.log(u_cost) / (cost_mode.lam_mean * m_c * m_p)
+        cid, pid = take(i, j)
+        return cid, pid, cost
+
+    def clear_hetero(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
         nonlocal row_sums
-        m_c = len(pool_c)
-        m_p = len(pool_p)
-        if fifo:
-            cid = pool_c.popleft()
-            pid = pool_p.popleft()
-            if not collect_costs:
-                cost = 0.0
-            elif micro:
-                es = _rng.event_seed(seed, a)
-                cost = costs.pair_cost_at_event(cid, pid, cost_mode, seed, es)
-            else:
-                cost = cost_mode.cost(m_c, m_p)
-            return cid, pid, cost, m_c, m_p
-        if not collect_costs:
-            return pool_c.pop(), pool_p.pop(), 0.0, m_c, m_p
-        es = _rng.event_seed(seed, a)
+        es = event_seed(k)
         if m_c * m_p <= SEAM_PAIRS:
             mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, es)
             flat = int(np.argmin(mat))
             i, j = flat // m_p, flat % m_p
             cost = float(mat[i, j])
         else:
-            base = _rng.stream_base(es, _rng.SALT_PICK)
-            u_row = _rng.u01(_rng.key1(base, 0))
-            u_col = _rng.u01(_rng.key1(base, 1))
-            u_cost = _rng.u01(_rng.key1(base, 2))
-            if row_sums is None:
-                i = _pick_index(u_row, m_c)
-                j = _pick_index(u_col, m_p)
-                total = cost_mode.lam_mean * m_c * m_p
-            else:
-                total = math.fsum(row_sums.tolist())
-                i = _first_reaching(row_sums, u_row * total)
-                row = costs.rate_matrix([pool_c[i]], pool_p, cost_mode, seed)[0]
-                j = _first_reaching(row, u_col * float(row.sum()))
+            u_row, u_col, u_cost = _seam_uniforms(es)
+            total = math.fsum(row_sums.tolist())
+            i = _first_reaching(row_sums, u_row * total)
+            row = costs.rate_matrix([pool_c[i]], pool_p, cost_mode, seed)[0]
+            j = _first_reaching(row, u_col * float(row.sum()))
             cost = -math.log(u_cost) / total
-        cid = pool_c[i]
-        pid = pool_p[j]
-        if row_sums is not None:
-            row_sums -= costs.rate_matrix(pool_c, [pid], cost_mode, seed)[:, 0]
-            row_sums[i] = row_sums[-1]
-            row_sums = row_sums[:-1]
-        pool_c[i] = pool_c[-1]
-        pool_c.pop()
-        pool_p[j] = pool_p[-1]
-        pool_p.pop()
-        return cid, pid, cost, m_c, m_p
+        row_sums -= costs.rate_matrix(pool_c, [pool_p[j]], cost_mode, seed)[:, 0]
+        row_sums[i] = row_sums[-1]
+        row_sums = row_sums[:-1]
+        cid, pid = take(i, j)
+        return cid, pid, cost
+
+    if not collect_costs:
+        clear = clear_fifo_unpriced if fifo else clear_unpriced
+    elif fifo:
+        clear = clear_fifo if micro else clear_decay
+    else:
+        clear = clear_hetero if hetero else clear_constant
 
     while not done:
         times, sides = src.take_block()
@@ -354,7 +405,9 @@ def _run_threshold(
                     row_sums += costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
             while len(pool_c) >= need and len(pool_p) >= need:
                 a += 1
-                cid, pid, cost, m_c, m_p = clear_one()
+                m_c = len(pool_c)
+                m_p = len(pool_p)
+                cid, pid, cost = clear(a, m_c, m_p)
                 cum += cost
                 if collect_records:
                     records.append(MatchRecord(a, clock, cid, pid, cost, m_c, m_p, cum, wait))
@@ -421,7 +474,7 @@ def _run_patient(
     if not (collect_costs and k >= 1):
         return trace
     if n_c * n_p > _PATIENT_ENTRY_CAP:
-        raise ValueError(
+        raise PoolCapError(
             f"patient terminal assignment over {n_c}x{n_p} pairs exceeds "
             f"{_PATIENT_ENTRY_CAP} entries; rerun with collect_costs=False"
         )

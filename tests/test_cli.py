@@ -301,6 +301,56 @@ def test_config_errors_exit_two(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:")
+    # values the engine's own types reject, converted at the command line
+    bad_values = [
+        ["simulate", "--schedule", "greedy", "--matches", "0", "--seed", "1", "--out", out],
+        ["simulate", "--schedule", "greedy", "--horizon", "-5", "--a-grid", "1",
+         "--tau-grid", "1", "--seed", "1", "--out", out],
+        ["simulate", "--schedule", "greedy", "--horizon", "nan", "--seed", "1", "--out", out],
+        ["simulate", "--schedule", "greedy", "--horizon", "inf", "--seed", "1", "--out", out],
+        ["gmode", "--schedule", "greedy", "--delta", "0.5", "--matches", "10", "--seed", "1",
+         "--out", out],
+        ["gmode", "--schedule", "greedy", "--delta", "3", "--scale", "-1", "--matches", "10",
+         "--seed", "1", "--out", out],
+        ["gmode", "--schedule", "fcfs", "--delta", "3", "--matches", "10", "--seed", "1",
+         "--out", out],
+        ["oracle", "buck", "--k", "0"],
+    ]
+    for argv in bad_values:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:")
+    # each --config key's JSON type is checked: a "false" string must not read as true
+    typed = [
+        ("no_costs", "false"), ("a_grid", 5), ("a_grid", [10, "x"]), ("tau_grid", {"a": 1}),
+        ("reps", [1]), ("reps", True), ("matches", 10.5), ("horizon", "long"), ("seed", "1"),
+        ("rate", 1), ("jobs", 1.0),
+    ]
+    for key, value in typed:
+        cfg = {"schedule": "greedy", "matches": 10, "reps": 2, "seed": 1, "a_grid": [10],
+               "tau_grid": [5.0], key: value}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", out]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be" in err, err
+
+
+def test_patient_entry_cap_names_the_no_costs_flag(tmp_path, capsys):
+    argv = ["simulate", "--schedule", "patient", "--matches", "1700", "--reps", "1",
+            "--seed", "1", "--out", str(tmp_path / "p")]
+    assert main(argv) == 2
+    assert "--no-costs" in capsys.readouterr().err
+
+
+def test_internal_value_errors_are_not_exit_two(tmp_path, monkeypatch):
+    # exit 2 means bad input; a fault inside the run must surface as itself
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside the ensemble")
+
+    monkeypatch.setattr(cli, "run_ensemble", broken)
+    with pytest.raises(ValueError, match="fault inside the ensemble"):
+        main(_simulate_args(tmp_path / "v", reps="2", matches="10",
+                            **{"a-grid": "10", "tau-grid": "5"}))
 
 
 def test_validate_only_runs_selected_criteria(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dynaclear.costs import (
     RateModel,
+    cheapest_pair_at_event,
     cost_matrix,
     cost_matrix_at_event,
     draw_pair_cost,
@@ -138,3 +139,38 @@ def test_event_draws_are_fresh_but_keep_the_rate():
     # ratio of the underlying uniforms, never a rate change
     lam = rate_of(3, 8, model, 55)
     assert math.exp(-first * lam) <= 1.0 and math.exp(-second * lam) <= 1.0
+
+
+def _pool_shapes(rng, count, cap):
+    """count (m_c, m_p) shapes: 1 x m, m x 1 and general, each family with its cap boundary."""
+    shapes = [(1, cap), (cap, 1), (16, cap // 16), (1, 1)]
+    while len(shapes) < count:
+        family = len(shapes) % 3
+        if family == 0:
+            shapes.append((1, int(rng.integers(1, cap + 1))))
+        elif family == 1:
+            shapes.append((int(rng.integers(1, cap + 1)), 1))
+        else:
+            m_c = int(rng.integers(2, cap // 2 + 1))
+            shapes.append((m_c, int(rng.integers(2, cap // m_c + 1))))
+    return shapes
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.37, 2.5])
+def test_cheapest_pair_equals_the_matrix_argmin(lam):
+    # the one-pass pricer must pick the matrix route's pair and cost bit for
+    # bit on every shape the engine sends it, up to and at SEAM_PAIRS
+    from dynaclear.engine import SEAM_PAIRS
+
+    model = RateModel.constant(lam)
+    rng = np.random.default_rng(20_260 + int(100 * lam))
+    for m_c, m_p in _pool_shapes(rng, 7000, SEAM_PAIRS):
+        ids = rng.choice(10**7, size=m_c + m_p, replace=False) + 1
+        clients = [int(x) for x in ids[:m_c]]
+        providers = [int(x) for x in ids[m_c:]]
+        event_seed = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        mat = cost_matrix_at_event(clients, providers, model, 0, event_seed)
+        flat = int(np.argmin(mat))
+        i, j = divmod(flat, m_p)
+        want = (i, j, float(mat[i, j]))
+        assert cheapest_pair_at_event(clients, providers, lam, event_seed) == want, (m_c, m_p)

@@ -440,22 +440,39 @@ def test_sampled_route_heterogeneous_cost_law():
     assert abs(arr.mean() - 1.0) <= 3.0 * se
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls the engine makes to each named costs function."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(costs, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(costs, name, counting)
+    return calls
+
+
 def test_fcfs_never_prices_rate_rows(monkeypatch):
     # FIFO pairing prices each match as one scalar draw, so the
     # heterogeneous row sums would be dead weight on every arrival
-    calls = []
-    real = costs.rate_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(costs, "rate_matrix", counting)
+    calls = _count_calls(monkeypatch, "rate_matrix")
     model = RateModel.uniform_iid(0.5, 2.0)
     run(FCFS, model, MatchTarget(300), seed=5)
-    assert calls == []
+    assert calls["rate_matrix"] == 0
     run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=5)
-    assert calls
+    assert calls["rate_matrix"] > 0
+
+
+def test_constant_greedy_prices_no_matrices(monkeypatch):
+    # at constant rate a small pool is priced in one argmax pass, with no
+    # cost or rate matrix; heterogeneous rates keep the matrix route
+    calls = _count_calls(monkeypatch, "cost_matrix_at_event", "rate_matrix")
+    run(GREEDY, UNIT, MatchTarget(300), seed=5)
+    assert calls == {"cost_matrix_at_event": 0, "rate_matrix": 0}
+    run(ScheduleSpec("power", gamma=0.5), RateModel.uniform_iid(0.5, 2.0), MatchTarget(300), seed=5)
+    assert calls["cost_matrix_at_event"] > 0 and calls["rate_matrix"] > 0
 
 
 def test_greedy_dominates_patient_in_expectation_on_fixed_tapes():
