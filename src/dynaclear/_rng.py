@@ -61,19 +61,12 @@ def mix64(x: int) -> int:
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array (wraparound is intended)."""
+    """Vectorized mix64 over a uint64 array (wraparound is intended).
+
+    The first step makes the result array; the other five work in place on
+    it, so the input is never modified.
+    """
     x = x + _U64_GOLDEN
-    x = x ^ (x >> _SH30)
-    x = x * _U64_MUL1
-    x = x ^ (x >> _SH27)
-    x = x * _U64_MUL2
-    x = x ^ (x >> _SH31)
-    return x
-
-
-def _mix64_into(x: np.ndarray) -> np.ndarray:
-    """mix64_np over a fresh uint64 array, in place, so no step allocates."""
-    x += _U64_GOLDEN
     x ^= x >> _SH30
     x *= _U64_MUL1
     x ^= x >> _SH27
@@ -100,25 +93,25 @@ def keys1_np(base: int, ids: np.ndarray) -> np.ndarray:
     return mix64_np(np.uint64(base & _MASK) + ids.astype(np.uint64, copy=False) * _U64_GOLDEN)
 
 
+def _keys2_rows(rows, js) -> np.ndarray:
+    """key2 of every row key (uint64, shape (n, 1) or a scalar) with every js entry."""
+    return mix64_np(rows + np.asarray(js, dtype=np.uint64) * _U64_INDEX2)
+
+
 def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     """key2 on the cartesian product, shape (len(is_), len(js))."""
-    rows = keys1_np(base, is_)
-    return mix64_np(rows[:, None] + js.astype(np.uint64, copy=False)[None, :] * _U64_INDEX2)
+    return _keys2_rows(keys1_np(base, is_)[:, None], js)
 
 
 def keys2_block_np(base: int, is_: list, js: list) -> np.ndarray:
-    """keys2_outer_np for a clearing event's pools of int ids, mixed in place.
+    """keys2_outer_np for a clearing event's pools of int ids.
 
     A single first-slot index takes its row key from the plain-int key1, so
     a 1 x m block costs one vector mix instead of two.
     """
-    keys = np.asarray(js, dtype=np.uint64) * _U64_INDEX2
     if len(is_) == 1:
-        keys += np.uint64(key1(base, int(is_[0])))
-        keys = keys[None, :]
-    else:
-        keys = keys1_np(base, np.asarray(is_, dtype=np.uint64))[:, None] + keys
-    return _mix64_into(keys)
+        return _keys2_rows(np.uint64(key1(base, int(is_[0]))), js)[None, :]
+    return _keys2_rows(keys1_np(base, np.asarray(is_, dtype=np.uint64))[:, None], js)
 
 
 def u01(h: int) -> float:

@@ -199,9 +199,8 @@ def _build_config(
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
+        value = file_cfg.get(name)
+        return default if value is None else value
 
     if schedule is None:
         schedule = pick("schedule")
@@ -445,33 +444,30 @@ def _cmd_gmode(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        _print_oracle(args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return 0
-
-
-def _print_oracle(args: argparse.Namespace) -> None:
     name = args.name
-    if name == "buck":
-        value = oracles.expected_min_k_assignment(args.nc, args.np_, args.k)
-        print(f"{value:.5f}")
-    elif name == "basel":
-        print(repr(oracles.patient_cost_equal_sided(args.a)))
-    elif name == "zeta":
-        print(repr(oracles.zeta(args.s)))
-    elif name == "wait":
-        print(repr(oracles.greedy_expected_wait(args.tau)))
-    elif name == "walk":
-        print(repr(oracles.expected_abs_walk(args.k)))
-    elif name == "window":
-        win = oracles.free_lunch_window(args.delta)
-        print(json.dumps({"lo": win.lower, "hi": win.upper, "empty": win.empty}, sort_keys=True))
-    elif name == "two-each":
-        print(repr(oracles.expected_arrivals_two_each()))
-    else:
-        raise ConfigError(f"unknown oracle {name!r}")
+    try:
+        if name == "buck":
+            text = f"{oracles.expected_min_k_assignment(args.nc, args.np_, args.k):.5f}"
+        elif name == "basel":
+            text = repr(oracles.patient_cost_equal_sided(args.a))
+        elif name == "zeta":
+            text = repr(oracles.zeta(args.s))
+        elif name == "wait":
+            text = repr(oracles.greedy_expected_wait(args.tau))
+        elif name == "walk":
+            text = repr(oracles.expected_abs_walk(args.k))
+        elif name == "window":
+            win = oracles.free_lunch_window(args.delta)
+            text = json.dumps({"lo": win.lower, "hi": win.upper, "empty": win.empty},
+                              sort_keys=True)
+        elif name == "two-each":
+            text = repr(oracles.expected_arrivals_two_each())
+        else:
+            raise ConfigError(f"unknown oracle {name!r}")
+    except oracles.DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    print(text)
+    return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ from .schedules import (
 )
 
 __all__ = [
+    "DomainError",
     "BoundPair",
     "GrowthOrder",
     "FreeLunchWindow",
@@ -41,6 +42,10 @@ __all__ = [
     "free_lunch_window",
     "expected_arrivals_two_each",
 ]
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of the closed form asked for."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,9 @@ def expected_min_k_assignment(n_c: int, n_p: int, k: int) -> float:
     Exact double sum over i, j >= 0 with i + j < k of 1/((n_c - i)(n_p - j)).
     """
     if n_c < 1 or n_p < 1:
-        raise ValueError("matrix sides must be at least 1")
+        raise DomainError("matrix sides must be at least 1")
     if not 1 <= k <= min(n_c, n_p):
-        raise ValueError(f"k must lie in [1, {min(n_c, n_p)}], got {k}")
+        raise DomainError(f"k must lie in [1, {min(n_c, n_p)}], got {k}")
     inner = 1.0 / (n_p - np.arange(k, dtype=np.float64))
     prefix = np.concatenate(([0.0], np.cumsum(inner)))
     outer = 1.0 / (n_c - np.arange(k, dtype=np.float64))
@@ -101,7 +106,7 @@ def expected_min_k_assignment(n_c: int, n_p: int, k: int) -> float:
 def patient_cost_equal_sided(a: int) -> float:
     """Partial Basel sum over k <= a; equals expected_min_k_assignment(a, a, a)."""
     if a < 1:
-        raise ValueError("need at least one match")
+        raise DomainError("need at least one match")
     terms = 1.0 / np.arange(a, 0, -1, dtype=np.float64) ** 2
     return float(np.sum(terms))
 
@@ -109,7 +114,7 @@ def patient_cost_equal_sided(a: int) -> float:
 def patient_cost_bounds(lam_over: float, lam_under: float) -> BoundPair:
     """Bounds on the patient schedule's expected per-match cost at large A."""
     if not (0.0 < lam_under <= lam_over):
-        raise ValueError("need 0 < lam_under <= lam_over")
+        raise DomainError("need 0 < lam_under <= lam_over")
     return BoundPair(
         lower=math.log(2.0) / lam_over,
         upper=math.pi ** 2 / (6.0 * lam_under),
@@ -120,7 +125,7 @@ def patient_cost_bounds(lam_over: float, lam_under: float) -> BoundPair:
 def greedy_expected_wait(tau: float) -> float:
     """Waiting normalizer (2/3) * tau^(3/2) used as the beta denominator."""
     if tau < 0.0:
-        raise ValueError("tau must be non-negative")
+        raise DomainError("tau must be non-negative")
     return (2.0 / 3.0) * tau ** 1.5
 
 
@@ -131,7 +136,7 @@ def expected_abs_walk(k: int) -> float:
     k + 1.  Exact rational arithmetic below 600 steps, log-gamma beyond.
     """
     if k < 0:
-        raise ValueError("step count cannot be negative")
+        raise DomainError("step count cannot be negative")
     if k == 0:
         return 0.0
     m = k if k % 2 == 0 else k + 1
@@ -149,7 +154,7 @@ def expected_abs_walk(k: int) -> float:
 def zeta(s: float) -> float:
     """Riemann zeta for s > 1 by partial sum plus Euler-Maclaurin tail."""
     if not s > 1.0:
-        raise ValueError("zeta(s) requires s > 1")
+        raise DomainError("zeta(s) requires s > 1")
     n = 100_000
     partial = math.fsum((np.arange(1, n + 1, dtype=np.float64) ** (-s)).tolist())
     tail = (
@@ -177,9 +182,9 @@ def alpha_bounds(
     bound only; its upper is infinity.
     """
     if a < 2:
-        raise ValueError("need A >= 2")
+        raise DomainError("need A >= 2")
     if not (0.0 < lam_under <= lam_mean <= lam_over):
-        raise ValueError("need 0 < lam_under <= lam_mean <= lam_over")
+        raise DomainError("need 0 < lam_under <= lam_mean <= lam_over")
     pi2 = math.pi ** 2
     log_a = math.log(a)
     if spec.kind == PATIENT:
@@ -207,8 +212,8 @@ def alpha_bounds(
             1.0, (lam_over / lam_under) * zeta(2.0 * gamma) / math.log(2.0), "supercritical"
         )
     if spec.kind in (BALANCED, CUSTOM):
-        raise ValueError(f"no closed-form alpha envelope for {spec.kind}; use growth checks")
-    raise ValueError(f"unknown schedule kind {spec.kind!r}")
+        raise DomainError(f"no closed-form alpha envelope for {spec.kind}; use growth checks")
+    raise DomainError(f"unknown schedule kind {spec.kind!r}")
 
 
 def beta_order(spec: ScheduleSpec) -> GrowthOrder:
@@ -221,7 +226,7 @@ def beta_order(spec: ScheduleSpec) -> GrowthOrder:
         return GrowthOrder(spec.gamma - 0.5, None, "power")
     if spec.kind == PATIENT:
         return GrowthOrder(0.5, None, "power")
-    raise ValueError(f"no closed-form beta order for {spec.kind}; use growth checks")
+    raise DomainError(f"no closed-form beta order for {spec.kind}; use growth checks")
 
 
 def free_lunch_window(delta: float) -> FreeLunchWindow:
@@ -232,7 +237,7 @@ def free_lunch_window(delta: float) -> FreeLunchWindow:
     delta > 2.  The patient benchmark needs delta > 1 to have finite cost.
     """
     if not delta > 1.0:
-        raise ValueError("decay exponent must exceed 1")
+        raise DomainError("decay exponent must exceed 1")
     critical = 1.0 / delta
     if delta > 2.0:
         return FreeLunchWindow(critical, critical, 0.5)

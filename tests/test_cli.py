@@ -335,6 +335,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert err.startswith("error:") and f"{key} must be" in err, err
 
 
+def test_config_null_stands_for_an_absent_key(tmp_path, monkeypatch):
+    monkeypatch.delenv("DYNACLEAR_JOBS", raising=False)
+    path = tmp_path / "nulls.json"
+    path.write_text(json.dumps({"delta": 3, "matches": 10, "seed": 1, "reps": None,
+                                "scale": None, "jobs": None, "no_costs": None}))
+    args = cli._build_parser().parse_args(
+        ["gmode", "--config", str(path), "--out", str(tmp_path / "o")])
+    cfg = cli._build_config(args, "gmode", "greedy")
+    assert (cfg.reps, cfg.scale, cfg.jobs, cfg.no_costs) == (100, 1.0, 1, False)
+
+
 def test_patient_entry_cap_names_the_no_costs_flag(tmp_path, capsys):
     argv = ["simulate", "--schedule", "patient", "--matches", "1700", "--reps", "1",
             "--seed", "1", "--out", str(tmp_path / "p")]
@@ -351,6 +362,16 @@ def test_internal_value_errors_are_not_exit_two(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="fault inside the ensemble"):
         main(_simulate_args(tmp_path / "v", reps="2", matches="10",
                             **{"a-grid": "10", "tau-grid": "5"}))
+
+
+def test_oracle_faults_are_not_exit_two(monkeypatch):
+    # only an argument outside an oracle's domain is bad input
+    def broken(s):
+        raise ValueError("fault inside the series")
+
+    monkeypatch.setattr(oracles, "zeta", broken)
+    with pytest.raises(ValueError, match="fault inside the series"):
+        main(["oracle", "zeta"])
 
 
 def test_validate_only_runs_selected_criteria(tmp_path, capsys):
