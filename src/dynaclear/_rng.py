@@ -9,7 +9,8 @@ Each key has a plain-int form and a numpy uint64 form that give the same
 bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
 would cost more than the mixing itself: seeds (stream_base, derive_seed,
 event_seeds), the seam route's three pick uniforms, the FIFO route's single
-pair draw with its rate, and the row key of a one-client pool block.  The
+pair draw with its rate, the row key of a one-client pool block, and the
+row key and key offset costs.PoolRates stores once per arriving agent.  The
 uint64 forms serve every vectorized block; numpy integer arrays wrap at 64
 bits without a warning (only numpy scalars warn), so they need no overflow
 guard.

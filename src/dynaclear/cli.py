@@ -191,8 +191,12 @@ def _build_config(
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
         for name, value in file_cfg.items():
-            ok, kind = _FILE_TYPES.get(name, (None, None))
-            if ok is not None and value is not None and not ok(value):
+            if name not in _FILE_TYPES:
+                known = name.replace("-", "_")
+                hint = f"; did you mean {known!r}?" if known in _FILE_TYPES else ""
+                raise ConfigError(f"{args.config}: unknown key {name!r}{hint}")
+            ok, kind = _FILE_TYPES[name]
+            if value is not None and not ok(value):
                 raise ConfigError(f"{args.config}: {name} must be {kind}, got {value!r}")
 
     def pick(name: str, default=None):

@@ -25,6 +25,7 @@ __all__ = [
     "pair_cost_at_event",
     "cost_matrix_at_event",
     "cheapest_pair_at_event",
+    "PoolRates",
 ]
 
 CONSTANT = "constant"
@@ -187,3 +188,78 @@ def cheapest_pair_at_event(
     flat = int(u.argmax())
     m_p = len(provider_ids)
     return flat // m_p, flat % m_p, -float(np.log(u.flat[flat])) / lam
+
+
+class PoolRates:
+    """Pair rates of a heterogeneous run's pools, with the running row sums.
+
+    Client slot i and provider slot j stand for the engine's pool_c[i] and
+    pool_p[j]; remove() swap-removes both like the engine's take.  Each
+    agent's term is computed once, on arrival: under uniform_iid a client's
+    row key key1(rate base, id) and a provider's id * INDEX2 (the pair's key2
+    mixes their sum), under product_form its factor.  So row(i) and col(j)
+    are one vector op each, equal bit for bit to rate_matrix on the pools.
+    row_sums[i] is client i's total rate to the present providers: the new
+    row's sum on a client arrival, plus the new column on a provider
+    arrival, minus the matched provider's column at a match.
+    """
+
+    def __init__(self, model: RateModel, run_seed: int) -> None:
+        self._model = model
+        self._seed = run_seed
+        self._uniform = model.mode == UNIFORM_IID
+        self._base = _rng.stream_base(run_seed, _rng.SALT_RATE)
+        dtype = np.uint64 if self._uniform else np.float64
+        self._c = np.empty(64, dtype)
+        self._p = np.empty(64, dtype)
+        self._sums = np.empty(64)
+        self.m_c = self.m_p = 0
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self._sums[: self.m_c]
+
+    def _rates(self, a, b) -> np.ndarray:
+        model = self._model
+        if self._uniform:
+            u = _rng.u01_np(_rng.mix64_np(a + b))
+            return model.lam_under + (model.lam_over - model.lam_under) * u
+        return np.clip(a * b, model.lam_under, model.lam_over)
+
+    def row(self, i: int) -> np.ndarray:
+        return self._rates(self._c[i], self._p[: self.m_p])
+
+    def col(self, j: int) -> np.ndarray:
+        return self._rates(self._c[: self.m_c], self._p[j])
+
+    def add_client(self, cid: int) -> None:
+        m = self.m_c
+        if m == self._c.size:
+            self._c, self._sums = np.resize(self._c, 2 * m), np.resize(self._sums, 2 * m)
+        if self._uniform:
+            self._c[m] = _rng.key1(self._base, cid)
+        else:
+            self._c[m] = _factor(cid, _rng.SALT_FACTOR_CLIENT, self._model, self._seed)
+        self._sums[m] = self.row(m).sum() if self.m_p else 0.0
+        self.m_c = m + 1
+
+    def add_provider(self, pid: int) -> None:
+        m = self.m_p
+        if m == self._p.size:
+            self._p = np.resize(self._p, 2 * m)
+        if self._uniform:
+            self._p[m] = (pid * _rng._INDEX2) & _rng._MASK
+        else:
+            self._p[m] = _factor(pid, _rng.SALT_FACTOR_PROVIDER, self._model, self._seed)
+        self.m_p = m + 1
+        if self.m_c:
+            self._sums[: self.m_c] += self.col(m)
+
+    def remove(self, i: int, j: int) -> None:
+        """Drop client slot i and provider slot j; the last slot of each takes its place."""
+        self._sums[: self.m_c] -= self.col(j)
+        self.m_c -= 1
+        self.m_p -= 1
+        self._sums[i] = self._sums[self.m_c]
+        self._c[i] = self._c[self.m_c]
+        self._p[j] = self._p[self.m_p]

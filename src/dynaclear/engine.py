@@ -22,7 +22,10 @@ A run picks its pricer once, from its cost mode and schedule:
   an exponential in lambda * m_c * m_p;
 - heterogeneous rates: up to SEAM_PAIRS, the argmin of the event's cost
   matrix; above, a row pick by the running row sums of the rates, a column
-  pick by that row's rates and an exponential in the total rate.
+  pick by that row's rates and an exponential in the total rate.  The rows,
+  columns and row sums come from one costs.PoolRates per run, kept aligned
+  with the pools: each agent's rate term is hashed once on arrival, so a
+  row or column of rates is one vector mix, and memory stays O(pool).
 Above the seam both routes sample the minimum-cost couple from the exact
 exponential-minimum law instead of materializing the matrix; each realizes
 the matrix route's distribution, and the switch depends only on pool sizes,
@@ -278,8 +281,7 @@ def _run_threshold(
 
     pool_c: Union[deque, list] = deque() if fifo else []
     pool_p: Union[deque, list] = deque() if fifo else []
-    # row_sums[i] = sum of the rates of client pool_c[i] to every present provider
-    row_sums = np.empty(0) if hetero else None
+    rates = costs.PoolRates(cost_mode, seed) if hetero else None
 
     clock = 0.0
     wait = 0.0
@@ -346,7 +348,6 @@ def _run_threshold(
         return cid, pid, cost
 
     def clear_hetero(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        nonlocal row_sums
         es = event_seed(k)
         if m_c * m_p <= SEAM_PAIRS:
             mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, es)
@@ -355,14 +356,13 @@ def _run_threshold(
             cost = float(mat[i, j])
         else:
             u_row, u_col, u_cost = _seam_uniforms(es)
+            row_sums = rates.row_sums
             total = math.fsum(row_sums.tolist())
             i = _first_reaching(row_sums, u_row * total)
-            row = costs.rate_matrix([pool_c[i]], pool_p, cost_mode, seed)[0]
+            row = rates.row(i)
             j = _first_reaching(row, u_col * float(row.sum()))
             cost = -math.log(u_cost) / total
-        row_sums -= costs.rate_matrix(pool_c, [pool_p[j]], cost_mode, seed)[:, 0]
-        row_sums[i] = row_sums[-1]
-        row_sums = row_sums[:-1]
+        rates.remove(i, j)
         cid, pid = take(i, j)
         return cid, pid, cost
 
@@ -393,16 +393,13 @@ def _run_threshold(
             if is_client:
                 n_c += 1
                 pool_c.append(arrivals)
-                if row_sums is not None:
-                    s = 0.0
-                    if pool_p:
-                        s = costs.rate_matrix([arrivals], pool_p, cost_mode, seed).sum()
-                    row_sums = np.append(row_sums, s)
+                if rates is not None:
+                    rates.add_client(arrivals)
             else:
                 n_p += 1
                 pool_p.append(arrivals)
-                if row_sums is not None and pool_c:
-                    row_sums += costs.rate_matrix(pool_c, [arrivals], cost_mode, seed)[:, 0]
+                if rates is not None:
+                    rates.add_provider(arrivals)
             while len(pool_c) >= need and len(pool_p) >= need:
                 a += 1
                 m_c = len(pool_c)

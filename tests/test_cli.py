@@ -333,6 +333,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert main(["simulate", "--config", str(path), "--out", out]) == 2, (key, value)
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key} must be" in err, err
+    # a key the config does not know must not run on the defaults: a flag's
+    # hyphenated spelling is named with its underscore form
+    for key, hint in (("a-grid", "'a_grid'"), ("repetitions", "")):
+        cfg = {"schedule": "greedy", "matches": 40, "reps": 3, "seed": 1, key: [7],
+               "tau_grid": [5.0]}
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", out]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown key '{key}'" in err, err
+        assert hint in err and ("did you mean" in err) == bool(hint), err
 
 
 def test_config_null_stands_for_an_absent_key(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynaclear.costs import (
+    PoolRates,
     RateModel,
     cheapest_pair_at_event,
     cost_matrix,
@@ -174,3 +175,65 @@ def test_cheapest_pair_equals_the_matrix_argmin(lam):
         i, j = divmod(flat, m_p)
         want = (i, j, float(mat[i, j]))
         assert cheapest_pair_at_event(clients, providers, lam, event_seed) == want, (m_c, m_p)
+
+
+def _replay_pool_rates(model, seed, rng, steps):
+    """Random arrivals and matches on a PoolRates and on a reference that
+    keeps the row sums from rate_matrix (np.append of the new row's sum, +=
+    the new column, -= the matched column, then the swap-remove); yields
+    (state, clients, providers, reference row sums) after every step."""
+    state = PoolRates(model, seed)
+    pool_c, pool_p = [], []
+    ref = np.empty(0)
+    for step in range(steps):
+        # grow for a while, then mostly match, so a side runs empty
+        p_match = 0.15 if step < steps // 2 else 0.75
+        agent = step + 1
+        if pool_c and pool_p and rng.random() < p_match:
+            i = int(rng.integers(len(pool_c)))
+            j = int(rng.integers(len(pool_p)))
+            ref -= rate_matrix(pool_c, [pool_p[j]], model, seed)[:, 0]
+            ref[i] = ref[-1]
+            ref = ref[:-1]
+            state.remove(i, j)
+            pool_c[i] = pool_c[-1]
+            pool_c.pop()
+            pool_p[j] = pool_p[-1]
+            pool_p.pop()
+        elif rng.random() < 0.5:
+            s = rate_matrix([agent], pool_p, model, seed).sum() if pool_p else 0.0
+            ref = np.append(ref, s)
+            state.add_client(agent)
+            pool_c.append(agent)
+        else:
+            if pool_c:
+                ref += rate_matrix(pool_c, [agent], model, seed)[:, 0]
+            state.add_provider(agent)
+            pool_p.append(agent)
+        yield state, pool_c, pool_p, ref
+
+
+@pytest.mark.parametrize(
+    "model", [RateModel.uniform_iid(0.5, 2.0), RateModel.product_form(0.25, 4.0)]
+)
+def test_pool_rates_match_rate_matrix_bit_for_bit(model):
+    # the engine's heterogeneous route reads rows, columns and row sums from
+    # the pool state; each must equal what rate_matrix gives on the pools
+    rng = np.random.default_rng(4242)
+    peak = 0
+    emptied = False
+    for step, (state, pool_c, pool_p, ref) in enumerate(
+        _replay_pool_rates(model, 9001, rng, 900)
+    ):
+        assert (state.m_c, state.m_p) == (len(pool_c), len(pool_p))
+        assert state.row_sums.tobytes() == ref.tobytes(), step
+        peak = max(peak, len(pool_c), len(pool_p))
+        emptied |= step > 450 and not (pool_c and pool_p)
+        if step % 3 or not (pool_c and pool_p):
+            continue
+        mat = rate_matrix(pool_c, pool_p, model, 9001)
+        for i in range(len(pool_c)):
+            assert state.row(i).tobytes() == mat[i].tobytes(), (step, i)
+        for j in range(len(pool_p)):
+            assert state.col(j).tobytes() == mat[:, j].tobytes(), (step, j)
+    assert peak > 64 and emptied

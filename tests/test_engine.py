@@ -441,7 +441,7 @@ def test_sampled_route_heterogeneous_cost_law():
 
 
 def _count_calls(monkeypatch, *names):
-    """Count the calls the engine makes to each named costs function."""
+    """Count the calls the engine makes to each named costs function or class."""
     calls = {name: 0 for name in names}
     for name in names:
         real = getattr(costs, name)
@@ -456,12 +456,15 @@ def _count_calls(monkeypatch, *names):
 
 def test_fcfs_never_prices_rate_rows(monkeypatch):
     # FIFO pairing prices each match as one scalar draw, so the
-    # heterogeneous row sums would be dead weight on every arrival
-    calls = _count_calls(monkeypatch, "rate_matrix")
+    # heterogeneous pool state would be dead weight on every arrival; a
+    # row-sum run builds it once
+    calls = _count_calls(monkeypatch, "rate_matrix", "PoolRates")
     model = RateModel.uniform_iid(0.5, 2.0)
     run(FCFS, model, MatchTarget(300), seed=5)
-    assert calls["rate_matrix"] == 0
+    assert calls == {"rate_matrix": 0, "PoolRates": 0}
     run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=5)
+    run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=6)
+    assert calls["PoolRates"] == 2
     assert calls["rate_matrix"] > 0
 
 

@@ -1,4 +1,4 @@
-"""Golden output hashes: report bundles of six small configs, byte for byte.
+"""Golden output hashes: report bundles of seven small configs, byte for byte.
 
 Each config runs `dynaclear` in process and the SHA-256 of every
 deterministic bundle file is compared with a stored digest, so a refactor
@@ -42,6 +42,19 @@ CONFIGS = {
             "ratios_beta.csv": "1f4f7a5917c42478f1eba9181b5ae2282b35c4227535f4200db03c68a8f6bd4e",
             "fits.json": "9f3071212329cc76500dcea03267dc6225f943171b9d0a16cd2729da4b5437ae",
             "traces.csv": "ff8f2adc077cdb1508b1662aeaee87bf7d25e5d451c7cbecd35e01ca62bc4eab",
+        },
+    ),
+    # product-form rates on the heterogeneous route, whose pool state stores
+    # one factor per agent; about one event in five is past the seam
+    "power-product": (
+        ["simulate", "--schedule", "power:0.5", "--rate", "product:0.25:4", "--matches", "120",
+         "--reps", "8", "--seed", "17", "--a-grid", "5,10,20,40",
+         "--tau-grid", "20,40,80,160", "--jobs", "1"],
+        {
+            "ratios_alpha.csv": "9eeab5fb39e3ed22d3cf12b989e3217f0726a6124372e281a8fbce929cfab407",
+            "ratios_beta.csv": "e79a6109406526099a8d8ab42314d5ed3964be494f8f129affcef12fcf246c22",
+            "fits.json": "f314a6449b957a37c4005d8d4d0e93d53815af5305382dc0bccf3c0f85138213",
+            "traces.csv": "1f8c4c6e2cc36a9a7db50756f81482bf8cdbf85a5f97c80eaca4cb91a61fe9cd",
         },
     ),
     # count-decay cost law
