@@ -19,7 +19,7 @@ from .analysis import (
     matching_ratio,
     waiting_ratio,
 )
-from .arrivals import PoissonStream, TapeSource, load_tape
+from .arrivals import PoissonStream, TapeSource
 from .assignment import Assignment, brute_force_k_assignment, min_k_assignment
 from .costs import RateModel, cost_matrix, draw_pair_cost
 from .engine import (
@@ -60,7 +60,6 @@ __all__ = [
     "draw_pair_cost",
     "empirical_patient_denominator",
     "fit_growth",
-    "load_tape",
     "matching_ratio",
     "min_k_assignment",
     "oracles",

@@ -26,7 +26,6 @@ from .schedules import PATIENT, ScheduleSpec
 __all__ = [
     "LOG_LOG",
     "SEMILOG_X",
-    "RAW",
     "CoverageError",
     "RatioEstimate",
     "GrowthFit",
@@ -43,9 +42,8 @@ __all__ = [
 
 LOG_LOG = "loglog"
 SEMILOG_X = "semilogx"
-RAW = "raw"
 
-_TRANSFORMS = (LOG_LOG, SEMILOG_X, RAW)
+_TRANSFORMS = (LOG_LOG, SEMILOG_X)
 
 
 class CoverageError(ValueError):

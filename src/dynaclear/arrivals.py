@@ -9,7 +9,6 @@ hand-checkable engine tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import List, Sequence, Tuple
 
@@ -22,7 +21,6 @@ __all__ = [
     "PROVIDER",
     "PoissonStream",
     "TapeSource",
-    "load_tape",
     "stopping_time_sample",
     "stopping_time_samples",
 ]
@@ -82,31 +80,12 @@ class TapeSource:
         self._rows = [(float(t), side) for t, side in rows]
         self._pos = 0
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     def take_block(self, n: int = _BLOCK) -> Tuple[List[float], List[int]]:
         chunk = self._rows[self._pos : self._pos + n]
         self._pos += len(chunk)
         times = [t for t, _ in chunk]
         sides = [1 if s == CLIENT else 0 for _, s in chunk]
         return times, sides
-
-
-
-def load_tape(path: str) -> TapeSource:
-    """Read a tape CSV with header `time,side`, side in {C, P}."""
-    rows: List[Tuple[float, str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != [
-            "time",
-            "side",
-        ]:
-            raise ValueError(f"{path}: expected CSV header 'time,side'")
-        for row in reader:
-            rows.append((float(row["time"]), row["side"].strip()))
-    return TapeSource(rows)
 
 
 def stopping_time_sample(k: int, c: int, seed: int) -> int:

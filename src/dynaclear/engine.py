@@ -7,9 +7,9 @@ from a count-decay law.
 
 Each clearing event draws its own fresh costs, keyed by the seed that
 _rng.event_seeds(run_seed) gives event k.  The first event reuses the run
-seed itself, so runs with a single clearing event (hand tapes, the patient
-terminal assignment) see exactly the canonical per-pair draws of the cost
-model.
+seed itself, so constant-rate runs with a single clearing event (hand tapes)
+and the patient terminal assignment see exactly the canonical per-pair draws
+of the cost model.
 
 A run picks its pricer once, from its cost mode and schedule:
 - FIFO (fcfs under a rate model): one scalar draw for the two oldest agents;
@@ -20,17 +20,17 @@ A run picks its pricer once, from its cost mode and schedule:
   index on ties, so this is the matrix argmin bit for bit without the matrix.
   Above SEAM_PAIRS the couple is a uniform row and column pick and the cost
   an exponential in lambda * m_c * m_p;
-- heterogeneous rates: up to SEAM_PAIRS, the argmin of the event's cost
-  matrix; above, a row pick by the running row sums of the rates, a column
-  pick by that row's rates and an exponential in the total rate.  The rows,
-  columns and row sums come from one costs.PoolRates per run, kept aligned
-  with the pools: each agent's rate term is hashed once on arrival, so a
-  row or column of rates is one vector mix, and memory stays O(pool).
-Above the seam both routes sample the minimum-cost couple from the exact
-exponential-minimum law instead of materializing the matrix; each realizes
-the matrix route's distribution, and the switch depends only on pool sizes,
-so runs stay deterministic in the seed.  Runs without cost accounting pair
-agents unpriced.
+- heterogeneous rates, at every pool size: a row pick by the running row
+  sums of the rates, a column pick by that row's rates and an exponential in
+  the total rate.  The rows, columns and row sums come from one
+  costs.PoolRates per run, kept aligned with the pools: each agent's rate
+  term is hashed once on arrival, so a row or column of rates is one vector
+  mix, and memory stays O(pool).
+The sampled routes draw the minimum-cost couple from the exact
+exponential-minimum law (pair (i, j) wins with probability lambda_ij over
+the total rate, and the minimum is exponential in that total) instead of
+materializing the cost matrix, so they realize the matrix argmin's
+distribution.  Runs without cost accounting pair agents unpriced.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _first_reaching(weights: Sequence[float], goal: float) -> int:
 
 
 def _seam_uniforms(event_seed: int) -> Tuple[float, float, float]:
-    """The seam route's row, column and cost uniforms for one event."""
+    """The sampled routes' row, column and cost uniforms for one event."""
     base = _rng.stream_base(event_seed, _rng.SALT_PICK)
     return _rng.u01(_rng.key1(base, 0)), _rng.u01(_rng.key1(base, 1)), _rng.u01(_rng.key1(base, 2))
 
@@ -309,8 +309,8 @@ def _run_threshold(
 
     # The pricers: each clears event k on pools of m_c clients and m_p
     # providers and returns (client id, provider id, cost).  The run picks
-    # one from its cost mode; only the switch between a small-pool route and
-    # a seam route depends on the event's pool sizes.
+    # one from its cost mode; only the constant-rate pricer's switch between
+    # a small-pool route and a seam route depends on the event's pool sizes.
 
     def take(i: int, j: int) -> Tuple[int, int]:
         cid = pool_c[i]
@@ -348,20 +348,13 @@ def _run_threshold(
         return cid, pid, cost
 
     def clear_hetero(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        es = event_seed(k)
-        if m_c * m_p <= SEAM_PAIRS:
-            mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, es)
-            flat = int(np.argmin(mat))
-            i, j = flat // m_p, flat % m_p
-            cost = float(mat[i, j])
-        else:
-            u_row, u_col, u_cost = _seam_uniforms(es)
-            row_sums = rates.row_sums
-            total = math.fsum(row_sums.tolist())
-            i = _first_reaching(row_sums, u_row * total)
-            row = rates.row(i)
-            j = _first_reaching(row, u_col * float(row.sum()))
-            cost = -math.log(u_cost) / total
+        u_row, u_col, u_cost = _seam_uniforms(event_seed(k))
+        row_sums = rates.row_sums
+        total = math.fsum(row_sums.tolist())
+        i = _first_reaching(row_sums, u_row * total)
+        row = rates.row(i)
+        j = _first_reaching(row, u_col * float(row.sum()))
+        cost = -math.log(u_cost) / total
         rates.remove(i, j)
         cid, pid = take(i, j)
         return cid, pid, cost

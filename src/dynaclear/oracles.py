@@ -1,10 +1,10 @@
 """Closed-form and series values the simulator is checked against.
 
 Everything here is exact arithmetic on model quantities: the expected optimal
-k-assignment cost for i.i.d. exponential matrices, the patient schedule's cost
-bounds, the waiting-time normalizer, exact random-walk means, zeta values, the
-matching-ratio envelopes for each schedule regime, the free-lunch window of
-the decay model, and the two-of-each arrival expectation.
+k-assignment cost for i.i.d. exponential matrices, the waiting-time
+normalizer, exact random-walk means, zeta values, the matching-ratio
+envelopes and waiting-ratio orders for each schedule regime, the free-lunch
+window of the decay model, and the two-of-each arrival expectation.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "FreeLunchWindow",
     "expected_min_k_assignment",
     "patient_cost_equal_sided",
-    "patient_cost_bounds",
     "greedy_expected_wait",
     "expected_abs_walk",
     "zeta",
@@ -82,11 +81,6 @@ class FreeLunchWindow:
     def empty(self) -> bool:
         return self.lower is None
 
-    def contains(self, gamma: float) -> bool:
-        if self.empty:
-            return False
-        return self.lower < gamma <= self.upper
-
 
 def expected_min_k_assignment(n_c: int, n_p: int, k: int) -> float:
     """Expected minimum k-assignment cost on an n_c x n_p rate-1 matrix.
@@ -109,17 +103,6 @@ def patient_cost_equal_sided(a: int) -> float:
         raise DomainError("need at least one match")
     terms = 1.0 / np.arange(a, 0, -1, dtype=np.float64) ** 2
     return float(np.sum(terms))
-
-
-def patient_cost_bounds(lam_over: float, lam_under: float) -> BoundPair:
-    """Bounds on the patient schedule's expected per-match cost at large A."""
-    if not (0.0 < lam_under <= lam_over):
-        raise DomainError("need 0 < lam_under <= lam_over")
-    return BoundPair(
-        lower=math.log(2.0) / lam_over,
-        upper=math.pi ** 2 / (6.0 * lam_under),
-        regime="patient-per-match",
-    )
 
 
 def greedy_expected_wait(tau: float) -> float:

@@ -151,14 +151,16 @@ def _c5_greedy_wait_law(jobs: int = 1) -> Tuple[bool, str]:
 
 
 def _c6_greedy_cost_growth(jobs: int = 1) -> Tuple[bool, str]:
+    spec = ScheduleSpec(kind=GREEDY)
     traces = run_ensemble(
-        ScheduleSpec(kind=GREEDY), RateModel.constant(1.0), MatchTarget(10_000),
+        spec, RateModel.constant(1.0), MatchTarget(10_000),
         90_6006, 200, jobs=jobs, collect_records=False, a_grid=_A_GRID,
     )
     ests = matching_ratio(traces, _A_GRID)
     slope = fit_growth([(e.x, e.ratio) for e in ests], LOG_LOG).slope
-    coef = 6.0 / (5.0 * math.pi ** 2)
-    floor_ok = all(e.ratio >= coef * math.sqrt(e.x) for e in ests)
+    floors = [oracles.alpha_bounds(spec, int(e.x), 1.0, 1.0, 1.0).lower for e in ests]
+    coef = floors[0] / math.sqrt(ests[0].x)
+    floor_ok = all(e.ratio >= floor for e, floor in zip(ests, floors))
     ok = slope >= 0.4 and floor_ok
     return ok, (
         f"loglog slope {slope:.3f} (need >= 0.4); pointwise ratio >= "
@@ -167,9 +169,9 @@ def _c6_greedy_cost_growth(jobs: int = 1) -> Tuple[bool, str]:
 
 
 def _c7_critical_regime(jobs: int = 1) -> Tuple[bool, str]:
+    spec = ScheduleSpec(kind=POWER, gamma=0.5)
     traces = run_ensemble(
-        ScheduleSpec(kind=POWER, gamma=0.5), RateModel.constant(1.0),
-        MatchTarget(10_000), 90_7007, 200, jobs=jobs,
+        spec, RateModel.constant(1.0), MatchTarget(10_000), 90_7007, 200, jobs=jobs,
         collect_records=False, a_grid=_A_GRID,
     )
     ests = matching_ratio(traces, _A_GRID)
@@ -177,10 +179,11 @@ def _c7_critical_regime(jobs: int = 1) -> Tuple[bool, str]:
     worst = ""
     for e in ests:
         log_a = math.log(e.x)
+        band = oracles.alpha_bounds(spec, int(e.x), 1.0, 1.0, 1.0)
         v = e.ratio / log_a
         sigma = 3.0 * e.stderr / log_a
-        lo = 2.0 / math.pi ** 2 - sigma
-        hi = (1.0 + log_a) / (math.log(2.0) * log_a) + sigma
+        lo = band.lower / log_a - sigma
+        hi = band.upper / log_a + sigma
         if not lo <= v <= hi:
             band_ok = False
             worst = f" (A={e.x:g}: {v:.3f} outside [{lo:.3f}, {hi:.3f}])"
@@ -216,15 +219,16 @@ def _c8_supercritical_regime(jobs: int = 1) -> Tuple[bool, str]:
 
 def _c9_waiting_regimes(jobs: int = 1) -> Tuple[bool, str]:
     cases = [
-        ("greedy", ScheduleSpec(kind=GREEDY), 0.0, True),
-        ("fcfs", ScheduleSpec(kind=FCFS), 0.0, True),
-        ("power-0.75", ScheduleSpec(kind=POWER, gamma=0.75), 0.25, False),
-        ("patient", ScheduleSpec(kind=PATIENT), 0.5, False),
+        ("greedy", ScheduleSpec(kind=GREEDY)),
+        ("fcfs", ScheduleSpec(kind=FCFS)),
+        ("power-0.75", ScheduleSpec(kind=POWER, gamma=0.75)),
+        ("patient", ScheduleSpec(kind=PATIENT)),
     ]
     model = RateModel.constant(1.0)
     parts = []
     ok = True
-    for label, spec, target, level_clause in cases:
+    for label, spec in cases:
+        order = oracles.beta_order(spec)
         traces = run_ensemble(
             spec, model, Horizon(1e4), 90_9009, 200, jobs=jobs,
             collect_costs=False, collect_records=False, tau_grid=_TAU_GRID,
@@ -233,13 +237,14 @@ def _c9_waiting_regimes(jobs: int = 1) -> Tuple[bool, str]:
             traces, _TAU_GRID,
             lambda t, x: t.wait_at(x) / oracles.greedy_expected_wait(x),
         )
-        clause_ok = abs(slope_mean - target) <= 0.05 + 3.0 * slope_se
-        text = f"{label}: slope {slope_mean:.3f} (target {target})"
-        if level_clause:
+        clause_ok = abs(slope_mean - order.exponent) <= 0.05 + 3.0 * slope_se
+        text = f"{label}: slope {slope_mean:.3f} (target {order.exponent})"
+        if order.exact_value is not None:
             level = waiting_ratio(traces, (1e4,))[0].ratio
-            level_ok = 0.9 <= level <= 1.1
+            lo, hi = 0.9 * order.exact_value, 1.1 * order.exact_value
+            level_ok = lo <= level <= hi
             clause_ok &= level_ok
-            text += f", beta(1e4) = {level:.3f} (need [0.9, 1.1])"
+            text += f", beta(1e4) = {level:.3f} (need [{lo:g}, {hi:g}])"
         parts.append(text + (" ok" if clause_ok else " FAIL"))
         ok &= clause_ok
     return ok, "; ".join(parts)
@@ -293,9 +298,9 @@ def _c12_free_lunch(jobs: int = 1) -> Tuple[bool, str]:
     r2 = fit_growth(pts, SEMILOG_X).r2
     log_ok = r2 >= 0.9
 
+    spec = ScheduleSpec(kind=POWER, gamma=0.45)
     traces = run_ensemble(
-        ScheduleSpec(kind=POWER, gamma=0.45), DecayModel(delta=3.0),
-        MatchTarget(10_000), 91_2112, 100, jobs=jobs,
+        spec, DecayModel(delta=3.0), MatchTarget(10_000), 91_2112, 100, jobs=jobs,
         collect_records=False, a_grid=(10_000,), tau_grid=_TAU_GRID,
     )
     finals = [t.cost_at_match(10_000) for t in traces]
@@ -306,7 +311,8 @@ def _c12_free_lunch(jobs: int = 1) -> Tuple[bool, str]:
         traces, _TAU_GRID,
         lambda t, x: t.wait_at(x) / oracles.greedy_expected_wait(x),
     )
-    slope_ok = abs(slope_mean) <= 0.05 + 3.0 * slope_se
+    target = oracles.beta_order(spec).exponent
+    slope_ok = abs(slope_mean - target) <= 0.05 + 3.0 * slope_se
     ok = log_ok and level_ok and slope_ok
     return ok, (
         f"(a) delta=1.5, gamma=2/3: semilog R^2 = {r2:.5f} (need >= 0.9); "

@@ -13,7 +13,6 @@ import scipy.special
 from dynaclear import _rng, oracles
 from dynaclear.analysis import (
     LOG_LOG,
-    RAW,
     SEMILOG_X,
     AnalyticEqualSided,
     CoverageError,
@@ -223,13 +222,6 @@ def test_fit_growth_recovers_a_log_line():
     assert math.isclose(fit.intercept, 2.0, abs_tol=1e-9)
 
 
-def test_fit_growth_raw_line():
-    points = [(float(x), 5.0 - 2.0 * x) for x in range(1, 8)]
-    fit = fit_growth(points, RAW)
-    assert math.isclose(fit.slope, -2.0, abs_tol=1e-12)
-    assert math.isclose(fit.intercept, 5.0, abs_tol=1e-12)
-
-
 def test_fit_growth_flags_scatter():
     rng = np.random.default_rng(11)
     points = [(float(x), float(rng.uniform(1.0, 2.0))) for x in range(1, 30)]
@@ -245,7 +237,7 @@ def test_fit_growth_validation():
     with pytest.raises(ValueError):
         fit_growth(good, "cubic")
     with pytest.raises(ValueError):
-        fit_growth([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0), (4.0, 4.0)], RAW)
+        fit_growth([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0), (4.0, 4.0)], SEMILOG_X)
     with pytest.raises(ValueError):
         fit_growth([(1.0, 0.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)], LOG_LOG)
     with pytest.raises(ValueError):

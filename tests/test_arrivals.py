@@ -13,7 +13,6 @@ from dynaclear.arrivals import (
     PROVIDER,
     PoissonStream,
     TapeSource,
-    load_tape,
     stopping_time_sample,
     stopping_time_samples,
 )
@@ -62,7 +61,6 @@ def test_interarrival_mean_and_side_fraction():
 
 def test_tape_source_replays_rows():
     tape = TapeSource([(1.0, CLIENT), (2.5, PROVIDER), (4.0, CLIENT)])
-    assert len(tape) == 3
     times, sides = tape.take_block()
     assert times == [1.0, 2.5, 4.0]
     assert sides == [1, 0, 1]
@@ -76,22 +74,6 @@ def test_tape_source_validation():
         TapeSource([(2.0, CLIENT), (2.0, PROVIDER)])
     with pytest.raises(ValueError):
         TapeSource([(2.0, CLIENT), (1.0, PROVIDER)])
-
-
-def test_load_tape_round_trip(tmp_path):
-    path = tmp_path / "tape.csv"
-    path.write_text("time,side\n0.5,C\n1.25,P\n9.0,C\n")
-    tape = load_tape(str(path))
-    times, sides = tape.take_block()
-    assert times == [0.5, 1.25, 9.0]
-    assert sides == [1, 0, 1]
-
-
-def test_load_tape_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,s\n0.5,C\n")
-    with pytest.raises(ValueError, match="time,side"):
-        load_tape(str(path))
 
 
 @pytest.mark.parametrize("k", [4, 16, 64, 256])

@@ -413,15 +413,12 @@ def test_sampled_route_cost_law_above_the_seam():
     assert abs(arr.mean() - 1.0) <= 3.0 * se
 
 
-def test_sampled_route_heterogeneous_cost_law():
+def _first_event_cost_times_total_rate(spec, model, seed_base, reps):
     # with non-constant rates the event minimum is exponential in the summed
     # rate of all present pairs; reconstruct the pools from the stream to get it
-    model = RateModel.uniform_iid(0.5, 2.0)
-    spec = ScheduleSpec("power", gamma=0.0, scale=18.0)
-    reps = 1200
     normalized = []
     for r in range(reps):
-        seed = _rng.derive_seed(70_000, r)
+        seed = _rng.derive_seed(seed_base, r)
         trace = run(spec, model, MatchTarget(1), seed=seed)
         rec = trace.records[0]
         times, sides = PoissonStream(seed).take_block(4096)
@@ -431,13 +428,54 @@ def test_sampled_route_heterogeneous_cost_law():
                 break
             (clients if is_client else providers).append(i)
         assert len(clients) == rec.m_c and len(providers) == rec.m_p
-        from dynaclear.costs import rate_matrix
-
-        total_rate = rate_matrix(clients, providers, model, seed).sum()
+        total_rate = costs.rate_matrix(clients, providers, model, seed).sum()
         normalized.append(rec.cost * total_rate)
-    arr = np.array(normalized)
+    return np.array(normalized)
+
+
+HETERO_MODELS = pytest.mark.parametrize(
+    "model",
+    [RateModel.uniform_iid(0.5, 2.0), RateModel.product_form(0.25, 4.0)],
+    ids=["uniform", "product"],
+)
+
+
+def test_sampled_route_heterogeneous_cost_law():
+    # f(1) = 18 puts the first event past SEAM_PAIRS
+    spec = ScheduleSpec("power", gamma=0.0, scale=18.0)
+    arr = _first_event_cost_times_total_rate(spec, RateModel.uniform_iid(0.5, 2.0), 70_000, 1200)
     se = arr.std(ddof=1) / math.sqrt(arr.size)
     assert abs(arr.mean() - 1.0) <= 3.0 * se
+
+
+@HETERO_MODELS
+def test_row_sum_route_cost_law_on_small_pools(model):
+    # greedy's first event clears a 1 x m pool, far below SEAM_PAIRS, on the
+    # same row-sum route
+    arr = _first_event_cost_times_total_rate(GREEDY, model, 71_000, 2000)
+    se = arr.std(ddof=1) / math.sqrt(arr.size)
+    assert abs(arr.mean() - 1.0) <= 3.0 * se
+
+
+@HETERO_MODELS
+def test_row_sum_route_picks_each_pair_by_its_rate(model):
+    # providers 1 and 2 wait and client 3 arrives: the exponential-minimum
+    # law picks provider 1 with probability p = lambda_31 / (lambda_31 +
+    # lambda_32).  The pick minus p has mean 0, and so has its product with
+    # p - 1/2, which a pick blind to the rates (mean 1/2 by symmetry) fails
+    rows = [(1.0, PROVIDER), (2.0, PROVIDER), (3.0, CLIENT)]
+    reps = 4000
+    centered = np.empty(reps)
+    p = np.empty(reps)
+    for r in range(reps):
+        seed = _rng.derive_seed(72_000, r)
+        rec = run(GREEDY, model, Horizon(4.0), seed=seed, source=TapeSource(rows)).records[0]
+        lam = [costs.rate_of(3, j, model, seed) for j in (1, 2)]
+        p[r] = lam[0] / (lam[0] + lam[1])
+        centered[r] = (rec.provider_id == 1) - p[r]
+    for stat in (centered, centered * (p - 0.5)):
+        se = stat.std(ddof=1) / math.sqrt(reps)
+        assert abs(stat.mean()) <= 3.0 * se
 
 
 def _count_calls(monkeypatch, *names):
@@ -464,18 +502,17 @@ def test_fcfs_never_prices_rate_rows(monkeypatch):
     assert calls == {"rate_matrix": 0, "PoolRates": 0}
     run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=5)
     run(ScheduleSpec("power", gamma=0.5), model, MatchTarget(300), seed=6)
-    assert calls["PoolRates"] == 2
-    assert calls["rate_matrix"] > 0
+    assert calls == {"rate_matrix": 0, "PoolRates": 2}
 
 
 def test_constant_greedy_prices_no_matrices(monkeypatch):
-    # at constant rate a small pool is priced in one argmax pass, with no
-    # cost or rate matrix; heterogeneous rates keep the matrix route
+    # at constant rate a small pool is priced in one argmax pass, and
+    # heterogeneous rates take the row-sum route at every pool size: neither
+    # builds a cost or rate matrix
     calls = _count_calls(monkeypatch, "cost_matrix_at_event", "rate_matrix")
     run(GREEDY, UNIT, MatchTarget(300), seed=5)
-    assert calls == {"cost_matrix_at_event": 0, "rate_matrix": 0}
     run(ScheduleSpec("power", gamma=0.5), RateModel.uniform_iid(0.5, 2.0), MatchTarget(300), seed=5)
-    assert calls["cost_matrix_at_event"] > 0 and calls["rate_matrix"] > 0
+    assert calls == {"cost_matrix_at_event": 0, "rate_matrix": 0}
 
 
 def test_greedy_dominates_patient_in_expectation_on_fixed_tapes():

@@ -19,7 +19,7 @@ from dynaclear.cli import main
 FILES = ("ratios_alpha.csv", "ratios_beta.csv", "fits.json", "traces.csv")
 
 CONFIGS = {
-    # small-pool matrix route, analytic denominator
+    # small-pool one-pass argmax route, analytic denominator
     "greedy-const": (
         ["simulate", "--schedule", "greedy", "--rate", "const:1", "--matches", "200",
          "--reps", "12", "--seed", "11", "--a-grid", "10,25,50,100,200",
@@ -31,30 +31,30 @@ CONFIGS = {
             "traces.csv": "d3a658b8e2e4c64d3fb80e530973b638e4f504c194a4a16e951c015da1589033",
         },
     ),
-    # heterogeneous row-sum route (pools past the seam) and the empirical
-    # patient denominator, both fanned out over two workers
+    # heterogeneous row-sum route and the empirical patient denominator,
+    # both fanned out over two workers
     "power-uniform": (
         ["simulate", "--schedule", "power:0.5", "--rate", "uniform:0.5:2", "--matches", "120",
          "--reps", "8", "--seed", "12", "--a-grid", "5,10,20,40",
          "--tau-grid", "20,40,80,160", "--jobs", "2"],
         {
-            "ratios_alpha.csv": "470be6e8046ccaa82411e31910a41b584f2de88154e077052d4dd1b1e29cf7da",
+            "ratios_alpha.csv": "72985ba6545696aa7204dd197c358d9b15f9d4412b6661d9af0453403a55cc5f",
             "ratios_beta.csv": "1f4f7a5917c42478f1eba9181b5ae2282b35c4227535f4200db03c68a8f6bd4e",
-            "fits.json": "9f3071212329cc76500dcea03267dc6225f943171b9d0a16cd2729da4b5437ae",
-            "traces.csv": "ff8f2adc077cdb1508b1662aeaee87bf7d25e5d451c7cbecd35e01ca62bc4eab",
+            "fits.json": "c89b8e77ae2bb96d60c50d851896e69cf91b191ab74dbf592b9d50eef4a06009",
+            "traces.csv": "a7780de24a3edfe7d2ef8029afcbaa4e8d17b4a840b8935ac3cd7be5bd3a7c84",
         },
     ),
-    # product-form rates on the heterogeneous route, whose pool state stores
-    # one factor per agent; about one event in five is past the seam
+    # product-form rates on the heterogeneous row-sum route, whose pool
+    # state stores one factor per agent
     "power-product": (
         ["simulate", "--schedule", "power:0.5", "--rate", "product:0.25:4", "--matches", "120",
          "--reps", "8", "--seed", "17", "--a-grid", "5,10,20,40",
          "--tau-grid", "20,40,80,160", "--jobs", "1"],
         {
-            "ratios_alpha.csv": "9eeab5fb39e3ed22d3cf12b989e3217f0726a6124372e281a8fbce929cfab407",
+            "ratios_alpha.csv": "b32a953804a2b2616e4e83b7a50ed6c4d90705d994db76bf5c1a9f6ccfb3512a",
             "ratios_beta.csv": "e79a6109406526099a8d8ab42314d5ed3964be494f8f129affcef12fcf246c22",
-            "fits.json": "f314a6449b957a37c4005d8d4d0e93d53815af5305382dc0bccf3c0f85138213",
-            "traces.csv": "1f8c4c6e2cc36a9a7db50756f81482bf8cdbf85a5f97c80eaca4cb91a61fe9cd",
+            "fits.json": "4fb9e0e3e8293885c0e01996275660e8d54472c30f2183f922f2a7f8cfdfd233",
+            "traces.csv": "c238aee72e1605e605a7b0c2ae7abe6bca5c6cc1e98c4b963e4e21e31f18d9e6",
         },
     ),
     # count-decay cost law
