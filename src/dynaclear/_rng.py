@@ -9,11 +9,10 @@ Each key has a plain-int form and a numpy uint64 form that give the same
 bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
 would cost more than the mixing itself: seeds (stream_base, derive_seed,
 event_seeds), the seam route's three pick uniforms, the FIFO route's single
-pair draw with its rate, the row key of a one-client pool block, and the
-row key and key offset costs.PoolRates stores once per arriving agent.  The
-uint64 forms serve every vectorized block; numpy integer arrays wrap at 64
-bits without a warning (only numpy scalars warn), so they need no overflow
-guard.
+pair draw with its rate, and the row key and key offset costs.PoolRates
+stores once per arriving agent.  The uint64 forms serve every vectorized
+block; numpy integer arrays wrap at 64 bits without a warning (only numpy
+scalars warn), so they need no overflow guard.
 """
 
 from __future__ import annotations
@@ -94,25 +93,10 @@ def keys1_np(base: int, ids: np.ndarray) -> np.ndarray:
     return mix64_np(np.uint64(base & _MASK) + ids.astype(np.uint64, copy=False) * _U64_GOLDEN)
 
 
-def _keys2_rows(rows, js) -> np.ndarray:
-    """key2 of every row key (uint64, shape (n, 1) or a scalar) with every js entry."""
-    return mix64_np(rows + np.asarray(js, dtype=np.uint64) * _U64_INDEX2)
-
-
 def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     """key2 on the cartesian product, shape (len(is_), len(js))."""
-    return _keys2_rows(keys1_np(base, is_)[:, None], js)
-
-
-def keys2_block_np(base: int, is_: list, js: list) -> np.ndarray:
-    """keys2_outer_np for a clearing event's pools of int ids.
-
-    A single first-slot index takes its row key from the plain-int key1, so
-    a 1 x m block costs one vector mix instead of two.
-    """
-    if len(is_) == 1:
-        return _keys2_rows(np.uint64(key1(base, int(is_[0]))), js)[None, :]
-    return _keys2_rows(keys1_np(base, np.asarray(is_, dtype=np.uint64))[:, None], js)
+    rows = keys1_np(base, is_)[:, None]
+    return mix64_np(rows + np.asarray(js, dtype=np.uint64) * _U64_INDEX2)
 
 
 def u01(h: int) -> float:

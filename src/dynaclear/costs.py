@@ -24,7 +24,6 @@ __all__ = [
     "cost_matrix",
     "pair_cost_at_event",
     "cost_matrix_at_event",
-    "cheapest_pair_at_event",
     "PoolRates",
 ]
 
@@ -169,25 +168,6 @@ def cost_matrix_at_event(
     base = _rng.stream_base(event_seed, _rng.SALT_COST)
     u = _rng.u01_np(_rng.keys2_outer_np(base, client_ids, provider_ids))
     return -np.log(u) / rate_matrix(client_ids, provider_ids, model, run_seed)
-
-
-def cheapest_pair_at_event(
-    client_ids: list, provider_ids: list, lam: float, event_seed: int
-) -> tuple:
-    """(i, j, cost) of the cheapest pair at constant rate lam, in one pass.
-
-    Equal bit for bit to the argmin of cost_matrix_at_event under
-    RateModel.constant(lam) and its entry.  The cost -log(u)/lam falls as u
-    rises, so the cheapest pair is the first argmax of u (argmin and argmax
-    both take the first index on ties), and only that entry's log is taken.
-    The argmax runs over u, not over the raw keys: u01's +0.5 rounds some
-    adjacent keys to one u, which argmin sees as a tie.
-    """
-    base = _rng.stream_base(event_seed, _rng.SALT_COST)
-    u = _rng.u01_np(_rng.keys2_block_np(base, client_ids, provider_ids))
-    flat = int(u.argmax())
-    m_p = len(provider_ids)
-    return flat // m_p, flat % m_p, -float(np.log(u.flat[flat])) / lam
 
 
 class PoolRates:

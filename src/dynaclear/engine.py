@@ -7,19 +7,20 @@ from a count-decay law.
 
 Each clearing event draws its own fresh costs, keyed by the seed that
 _rng.event_seeds(run_seed) gives event k.  The first event reuses the run
-seed itself, so constant-rate runs with a single clearing event (hand tapes)
-and the patient terminal assignment see exactly the canonical per-pair draws
-of the cost model.
+seed itself.  At constant rate it prices a pool of up to SEAM_PAIRS pairs
+with costs.cost_matrix_at_event and takes the matrix's first argmin, so
+constant-rate runs with a single clearing event (hand tapes) and the patient
+terminal assignment see exactly the canonical per-pair draws of the cost
+model.  SEAM_PAIRS only bounds that matrix: a schedule whose first threshold
+is large can make the first pool arbitrarily large.
 
 A run picks its pricer once, from its cost mode and schedule:
 - FIFO (fcfs under a rate model): one scalar draw for the two oldest agents;
 - decay: the count-decay law, paired FIFO;
-- constant rate: up to SEAM_PAIRS present pairs, costs.cheapest_pair_at_event
-  takes the first argmax of the pairs' uniforms and one log.  The cost
-  -log(u)/lambda falls as u rises, and argmin and argmax both take the first
-  index on ties, so this is the matrix argmin bit for bit without the matrix.
-  Above SEAM_PAIRS the couple is a uniform row and column pick and the cost
-  an exponential in lambda * m_c * m_p;
+- constant rate, every event but a small first one: a uniform row and column
+  pick and an exponential cost in lambda * m_c * m_p.  At constant rate the
+  cheapest of the m_c * m_p pairs is a uniform pair, and its cost has that
+  law at every pool size;
 - heterogeneous rates, at every pool size: a row pick by the running row
   sums of the rates, a column pick by that row's rates and an exponential in
   the total rate.  The rows, columns and row sums come from one
@@ -49,7 +50,6 @@ from .costs import CONSTANT, RateModel
 from .schedules import FCFS, PATIENT, ScheduleSpec, threshold
 
 __all__ = [
-    "SEAM_PAIRS",
     "Horizon",
     "MatchTarget",
     "DecayModel",
@@ -309,8 +309,7 @@ def _run_threshold(
 
     # The pricers: each clears event k on pools of m_c clients and m_p
     # providers and returns (client id, provider id, cost).  The run picks
-    # one from its cost mode; only the constant-rate pricer's switch between
-    # a small-pool route and a seam route depends on the event's pool sizes.
+    # one from its cost mode.
 
     def take(i: int, j: int) -> Tuple[int, int]:
         cid = pool_c[i]
@@ -336,14 +335,15 @@ def _run_threshold(
         return pool_c.pop(), pool_p.pop(), 0.0
 
     def clear_constant(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        es = event_seed(k)
-        if m_c * m_p <= SEAM_PAIRS:
-            i, j, cost = costs.cheapest_pair_at_event(pool_c, pool_p, cost_mode.lam_mean, es)
+        if k == 1 and m_c * m_p <= SEAM_PAIRS:
+            mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, event_seed(k))
+            i, j = divmod(int(mat.argmin()), m_p)
+            cost = float(mat[i, j])
         else:
-            u_row, u_col, u_cost = _seam_uniforms(es)
+            u_row, u_col, u_cost = _seam_uniforms(event_seed(k))
             i = _pick_index(u_row, m_c)
             j = _pick_index(u_col, m_p)
-            cost = -math.log(u_cost) / (cost_mode.lam_mean * m_c * m_p)
+            cost = -float(np.log(u_cost)) / (cost_mode.lam_mean * m_c * m_p)
         cid, pid = take(i, j)
         return cid, pid, cost
 
@@ -516,10 +516,14 @@ def run_ensemble(
 
 
 def parallel_map(fn, tasks: Sequence, jobs: int) -> list:
-    """[fn(t) for t in tasks], fanned out to `jobs` forked workers when jobs > 1."""
+    """[fn(t) for t in tasks], fanned out to `jobs` worker processes when jobs > 1.
+
+    The workers fork where the platform offers fork, and spawn elsewhere.
+    """
     if jobs > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(processes=jobs) as pool:
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        with mp.get_context(method).Pool(processes=jobs) as pool:
             return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
     return [fn(t) for t in tasks]

@@ -2,6 +2,7 @@
 and distributional pins against closed-form laws."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -172,6 +173,24 @@ def test_ensemble_is_deterministic_and_job_count_free():
     assert [t.tau_grid_waits for t in serial] == [t.tau_grid_waits for t in forked]
     seeds = {t.summary.seed for t in serial}
     assert len(seeds) == 6
+
+
+def test_ensemble_spawns_where_fork_is_missing(monkeypatch):
+    # a platform without fork gets spawned workers and the same traces
+    methods = []
+    real_get_context = multiprocessing.get_context
+
+    def get_context(method=None):
+        methods.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    kwargs = dict(collect_records=False, a_grid=(10, 40), tau_grid=(50.0, 100.0))
+    serial = run_ensemble(GREEDY, UNIT, MatchTarget(40), 4343, 4, jobs=1, **kwargs)
+    spawned = run_ensemble(GREEDY, UNIT, MatchTarget(40), 4343, 4, jobs=2, **kwargs)
+    assert methods == ["spawn"]
+    assert spawned == serial
 
 
 def test_match_target_stops_exactly():
@@ -413,6 +432,21 @@ def test_sampled_route_cost_law_above_the_seam():
     assert abs(arr.mean() - 1.0) <= 3.0 * se
 
 
+def test_constant_rate_later_events_pick_a_uniform_pair():
+    # client 1 and provider 2 clear at once; clients 3 and 4 then wait for
+    # provider 5, and the second event must take either client with
+    # probability 1/2
+    rows = [(1.0, CLIENT), (2.0, PROVIDER), (3.0, CLIENT), (4.0, CLIENT), (5.0, PROVIDER)]
+    reps = 4000
+    picks = np.empty(reps)
+    for r in range(reps):
+        seed = _rng.derive_seed(90_000, r)
+        rec = run(GREEDY, UNIT, Horizon(6.0), seed=seed, source=TapeSource(rows)).records[1]
+        assert (rec.m_c, rec.m_p, rec.provider_id) == (2, 1, 5)
+        picks[r] = rec.client_id == 3
+    assert abs(picks.mean() - 0.5) <= 3.0 * math.sqrt(0.25 / reps)
+
+
 def _first_event_cost_times_total_rate(spec, model, seed_base, reps):
     # with non-constant rates the event minimum is exponential in the summed
     # rate of all present pairs; reconstruct the pools from the stream to get it
@@ -441,7 +475,7 @@ HETERO_MODELS = pytest.mark.parametrize(
 
 
 def test_sampled_route_heterogeneous_cost_law():
-    # f(1) = 18 puts the first event past SEAM_PAIRS
+    # f(1) = 18 makes the first event clear a pool of 324+ pairs
     spec = ScheduleSpec("power", gamma=0.0, scale=18.0)
     arr = _first_event_cost_times_total_rate(spec, RateModel.uniform_iid(0.5, 2.0), 70_000, 1200)
     se = arr.std(ddof=1) / math.sqrt(arr.size)
@@ -450,8 +484,7 @@ def test_sampled_route_heterogeneous_cost_law():
 
 @HETERO_MODELS
 def test_row_sum_route_cost_law_on_small_pools(model):
-    # greedy's first event clears a 1 x m pool, far below SEAM_PAIRS, on the
-    # same row-sum route
+    # greedy's first event clears a 1 x m pool, on the same row-sum route
     arr = _first_event_cost_times_total_rate(GREEDY, model, 71_000, 2000)
     se = arr.std(ddof=1) / math.sqrt(arr.size)
     assert abs(arr.mean() - 1.0) <= 3.0 * se
@@ -505,12 +538,18 @@ def test_fcfs_never_prices_rate_rows(monkeypatch):
     assert calls == {"rate_matrix": 0, "PoolRates": 2}
 
 
-def test_constant_greedy_prices_no_matrices(monkeypatch):
-    # at constant rate a small pool is priced in one argmax pass, and
-    # heterogeneous rates take the row-sum route at every pool size: neither
-    # builds a cost or rate matrix
-    calls = _count_calls(monkeypatch, "cost_matrix_at_event", "rate_matrix")
+def test_only_a_small_first_constant_rate_event_builds_a_matrix(monkeypatch):
+    # at constant rate the first event prices its pool matrix when it holds
+    # at most SEAM_PAIRS pairs and every later event samples the minimum;
+    # heterogeneous rates take the row-sum route at every pool size
+    calls = _count_calls(monkeypatch, "cost_matrix_at_event")
     run(GREEDY, UNIT, MatchTarget(300), seed=5)
+    run(GREEDY, UNIT, MatchTarget(300), seed=6)
+    assert calls == {"cost_matrix_at_event": 2}
+    # f(1) = 24 puts the first event's 576+ pairs past SEAM_PAIRS
+    run(ScheduleSpec("power", gamma=0.0, scale=24.0), UNIT, MatchTarget(300), seed=5)
+    assert calls == {"cost_matrix_at_event": 2}
+    calls = _count_calls(monkeypatch, "cost_matrix_at_event", "rate_matrix")
     run(ScheduleSpec("power", gamma=0.5), RateModel.uniform_iid(0.5, 2.0), MatchTarget(300), seed=5)
     assert calls == {"cost_matrix_at_event": 0, "rate_matrix": 0}
 

@@ -19,16 +19,17 @@ from dynaclear.cli import main
 FILES = ("ratios_alpha.csv", "ratios_beta.csv", "fits.json", "traces.csv")
 
 CONFIGS = {
-    # small-pool one-pass argmax route, analytic denominator
+    # constant-rate seam route on small pools after the canonical first
+    # event, analytic denominator
     "greedy-const": (
         ["simulate", "--schedule", "greedy", "--rate", "const:1", "--matches", "200",
          "--reps", "12", "--seed", "11", "--a-grid", "10,25,50,100,200",
          "--tau-grid", "20,40,80,160,320", "--jobs", "1"],
         {
-            "ratios_alpha.csv": "7c6e2df4231399d2580682c226034ebe2ca49e1578e2b3663d1b69305aebbc61",
+            "ratios_alpha.csv": "e6a027e7cb978260044e62b15f7e4c4e921cfefe830bb36ed41e08f0b3a967c4",
             "ratios_beta.csv": "cf876ab5fc83c8cca7bb332cd8975db84fdc71edf13a7513f52bfa62dc270c7a",
-            "fits.json": "1865027409c29ff866227b143e71445d9d3e82aaa55bd54b5d5a6858ecf17a94",
-            "traces.csv": "d3a658b8e2e4c64d3fb80e530973b638e4f504c194a4a16e951c015da1589033",
+            "fits.json": "7f1239aa4ed78993480f35b5a8d582cefc4cf8eef9572172ef8580cb0798e6db",
+            "traces.csv": "f0d5cf0c9fb8f38d76d180c370e8b3ab55d03bc93ce773180eb858d20a694be4",
         },
     ),
     # heterogeneous row-sum route and the empirical patient denominator,
@@ -81,17 +82,17 @@ CONFIGS = {
             "traces.csv": "d0f3c671b373a3f6579d59e1aec2d2f3e2d6facef89c883546e1f9c4cb32f279",
         },
     ),
-    # constant-rate seam route: most traced clearing events sample the
-    # minimum past SEAM_PAIRS instead of pricing the pool matrix
+    # constant-rate seam route on large pools: every clearing event but the
+    # first samples the minimum instead of pricing the pool matrix
     "balanced-const": (
         ["simulate", "--schedule", "balanced", "--rate", "const:1", "--matches", "2000",
          "--reps", "6", "--seed", "16", "--a-grid", "20,100,500,1000,2000",
          "--tau-grid", "200,400,800,1600,3200", "--jobs", "1"],
         {
-            "ratios_alpha.csv": "56d8dee895c23bc31616f23ba97a7da554feef17fb77a0e6e95f59dd3f63a994",
+            "ratios_alpha.csv": "a45f892a8300f6e269a8a479196b35a560c3951c3bee45b054b06173b05322fb",
             "ratios_beta.csv": "46f3cb7c52d2a44409b012d0b657f3eafb8e9d37bbbc084088fbdbb4f2d78bf7",
-            "fits.json": "58f188f9af7f98a4236d133e6d14a8903976d2809f41c13237ac528ab76fa17e",
-            "traces.csv": "62a64ea042df12ad89e9c080f28725f2fe3ff30cb33cf3997dd176081c752a83",
+            "fits.json": "7a5d3143655a2df9e1b9846b329216abef9c3c08e8b73341e28a1044b4b7252f",
+            "traces.csv": "f1d170faf9954ab3f2588e5ffadcc29df5b32aebb8bdfd3d5e0131e8923debb6",
         },
     ),
     # terminal optimal assignment at the horizon
