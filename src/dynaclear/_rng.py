@@ -7,12 +7,12 @@ therefore order-independent and re-queryable: asking for the cost of pair
 
 Each key has a plain-int form and a numpy uint64 form that give the same
 bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
-would cost more than the mixing itself: seeds (stream_base, derive_seed,
-event_seeds), the seam route's three pick uniforms, the FIFO route's single
-pair draw with its rate, and the row key and key offset costs.PoolRates
-stores once per arriving agent.  The uint64 forms serve every vectorized
-block; numpy integer arrays wrap at 64 bits without a warning (only numpy
-scalars warn), so they need no overflow guard.
+would cost more than the mixing itself: seeds (stream_base, derive_seed) and
+the row key and key offset costs.PoolRates stores once per arriving agent.
+The uint64 forms serve every vectorized block: the arrival blocks, and each
+block's event seeds, pick uniforms and pair draws.  numpy integer arrays
+wrap at 64 bits without a warning (only numpy scalars warn), so they need no
+overflow guard.
 """
 
 from __future__ import annotations
@@ -84,19 +84,32 @@ def key1(base: int, i: int) -> int:
     return mix64((base + i * _GOLDEN) & _MASK)
 
 
-def key2(base: int, i: int, j: int) -> int:
-    return mix64((key1(base, i) + j * _INDEX2) & _MASK)
+def stream_bases_np(seeds: np.ndarray, salt: int) -> np.ndarray:
+    """stream_base over a uint64 array of seeds."""
+    return mix64_np(seeds ^ np.uint64(salt))
 
 
-def keys1_np(base: int, ids: np.ndarray) -> np.ndarray:
-    """key1 over a vector of first-slot indices."""
-    return mix64_np(np.uint64(base & _MASK) + ids.astype(np.uint64, copy=False) * _U64_GOLDEN)
+def keys1_np(base, ids) -> np.ndarray:
+    """key1 over uint64 arrays of bases and first-slot indices, broadcast.
+
+    Either argument may be a plain int, which is masked to 64 bits first:
+    a product of numpy scalars would warn on the wraparound.
+    """
+    if isinstance(base, int):
+        base = np.uint64(base & _MASK)
+    if isinstance(ids, int):
+        return mix64_np(base + np.uint64(ids * _GOLDEN & _MASK))
+    return mix64_np(base + ids.astype(np.uint64, copy=False) * _U64_GOLDEN)
+
+
+def keys2_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """The pair key mix64(key1(base, i) + j * _INDEX2), over uint64 arrays of i and j, broadcast."""
+    return mix64_np(keys1_np(base, is_) + js * _U64_INDEX2)
 
 
 def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """key2 on the cartesian product, shape (len(is_), len(js))."""
-    rows = keys1_np(base, is_)[:, None]
-    return mix64_np(rows + np.asarray(js, dtype=np.uint64) * _U64_INDEX2)
+    """keys2_np on the cartesian product, shape (len(is_), len(js))."""
+    return keys2_np(base, np.asarray(is_, dtype=np.uint64)[:, None], np.asarray(js, dtype=np.uint64))
 
 
 def u01(h: int) -> float:
@@ -113,17 +126,13 @@ def derive_seed(base_seed: int, index: int) -> int:
     return key1(stream_base(base_seed, SALT_REPLICATION), index)
 
 
-def event_seeds(run_seed: int):
-    """k -> the seed under which clearing event k draws its fresh pair costs.
+def event_seeds(run_seed: int, ks: np.ndarray) -> np.ndarray:
+    """The seeds under which clearing events ks draw their fresh pair costs.
 
     The first event uses the run seed itself, so single-event runs see exactly
-    the canonical per-pair draws; later events use seeds derived from one
-    per-run stream base.
+    the canonical per-pair draws; event k > 1 uses key k of one per-run
+    stream base.
     """
-    first = run_seed & _MASK
-    base = stream_base(run_seed, SALT_EVENT)
-
-    def event_seed(k: int) -> int:
-        return first if k == 1 else key1(base, k)
-
-    return event_seed
+    seeds = keys1_np(stream_base(run_seed, SALT_EVENT), ks)
+    seeds[ks == 1] = run_seed & _MASK
+    return seeds

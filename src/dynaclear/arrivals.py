@@ -1,10 +1,11 @@
-"""Arrival streams of agents, and the stopping-time diagnostics.
+"""Arrival streams of agents, the arrival walk and the stopping-time diagnostics.
 
 Arrivals follow a rate-1 Poisson clock; each arrival is a client or a
 provider by a fair coin.  Interarrival gaps and side coins come from separate
-sub-streams of the seed, so changing one law never perturbs the other.  A
-deterministic tape source replays an explicit (time, side) list for
-hand-checkable engine tests.
+sub-streams of the seed, so changing one law never perturbs the other.  The
+side coins drive the arrival walk (couples), which places every clearing of a
+threshold schedule and every stopping time.  A deterministic tape source
+replays an explicit (time, side) list for hand-checkable engine tests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "PROVIDER",
     "PoissonStream",
     "TapeSource",
-    "stopping_time_sample",
+    "couples",
     "stopping_time_samples",
 ]
 
@@ -30,6 +31,7 @@ PROVIDER = "P"
 
 ARRIVAL_CAP = 10 ** 9
 _BLOCK = 4096
+_PASS = 1 << 18
 
 
 class PoissonStream:
@@ -47,23 +49,31 @@ class PoissonStream:
         self._index = 0
         self._time = 0.0
 
-    def take_block(self, n: int = _BLOCK) -> Tuple[List[float], List[int]]:
-        """Next n arrivals as (times, is_client) lists; never exhausts."""
+    def take_block(self, n: int = _BLOCK) -> Tuple[np.ndarray, np.ndarray]:
+        """Next n arrivals as (times, is_client) arrays; never exhausts."""
         idx = np.arange(self._index, self._index + n, dtype=np.uint64)
         gaps = -np.log(_rng.u01_np(_rng.keys1_np(self._gap_base, idx)))
         times = self._time + np.cumsum(gaps)
-        # float ties are astronomically rare; nudge to keep times strict
-        prev = self._time
-        out = times.tolist()
-        for i, t in enumerate(out):
-            if t <= prev:
-                t = math.nextafter(prev, math.inf)
-                out[i] = t
-            prev = t
-        sides = (_rng.keys1_np(self._coin_base, idx) >> np.uint64(63)).tolist()
+        if not (np.diff(times, prepend=self._time) > 0.0).all():
+            times = np.array(_nudged(times.tolist(), self._time))
+        sides = (_rng.keys1_np(self._coin_base, idx) >> np.uint64(63)).view(np.int64)
         self._index += n
-        self._time = out[-1]
-        return out, sides
+        self._time = float(times[-1])
+        return times, sides
+
+
+def _nudged(times: List[float], prev: float) -> List[float]:
+    """times made strictly increasing from prev, each tie moved one ulp up.
+
+    float ties are astronomically rare; take_block runs this only on a
+    block that holds one.
+    """
+    for i, t in enumerate(times):
+        if t <= prev:
+            t = math.nextafter(prev, math.inf)
+            times[i] = t
+        prev = t
+    return times
 
 
 class TapeSource:
@@ -88,74 +98,55 @@ class TapeSource:
         return times, sides
 
 
-def stopping_time_sample(k: int, c: int, seed: int) -> int:
-    """One sample of t(k, C), counted in arrivals.
+def couples(sides, clients, arrivals: int):
+    """The arrival walk over a block of side bits, along the last axis.
 
-    t(k, C) is the arrival count at which, for the k-th time, at least C
-    clients and C providers are simultaneously present, one couple being
-    removed whenever the condition fires.
+    From `clients` clients among the `arrivals` arrivals before the block,
+    returns the running client count and the couple count U_i = (i - |S_i|)/2,
+    the smaller of the client and provider counts, after each arrival i of the
+    block.  Under a non-decreasing threshold f, the a-th clearing fires at the
+    first arrival whose couple count reaches a - 1 + f(a): both sides then hold
+    f(a) agents besides the a - 1 couples already matched.
     """
-    if k < 1 or c < 1:
-        raise ValueError("need k >= 1 and C >= 1")
-    coin_base = _rng.stream_base(seed, _rng.SALT_COIN)
-    n_clients = 0
-    n_providers = 0
-    fired = 0
-    arrivals = 0
-    golden = _rng._GOLDEN
-    mask = (1 << 64) - 1
-    mix = _rng.mix64
-    while True:
-        hi = arrivals + 2048
-        base = coin_base
-        for i in range(arrivals, hi):
-            if mix((base + i * golden) & mask) >> 63:
-                n_clients += 1
-            else:
-                n_providers += 1
-            while n_clients >= c and n_providers >= c:
-                n_clients -= 1
-                n_providers -= 1
-                fired += 1
-                if fired == k:
-                    return i + 1
-        arrivals = hi
-        if arrivals >= ARRIVAL_CAP:
-            raise RuntimeError(f"no {k}-th firing within {ARRIVAL_CAP} arrivals")
+    clients = clients + np.cumsum(sides, axis=-1)
+    seen = arrivals + np.arange(1, sides.shape[-1] + 1)
+    return clients, np.minimum(clients, seen - clients)
 
 
 def stopping_time_samples(k: int, c: int, reps: int, base_seed: int) -> np.ndarray:
-    """t(k, C) for `reps` derived seeds, in lockstep over the arrival index.
+    """t(k, C), counted in arrivals, for `reps` derived seeds.
 
-    Equals [stopping_time_sample(k, c, derive(base_seed, r)) for r in range(reps)]
-    entry for entry; vectorized because ensemble means at k ~ 10^3 would
-    otherwise dominate the validation suite's runtime.
+    t(k, C) is the arrival count at which, for the k-th time, at least C
+    clients and C providers are simultaneously present, one couple being
+    removed whenever the condition fires: the k-th clearing of the walk with
+    f = C, at the first arrival whose couple count reaches k - 1 + C.
+    Replication r reads the coins of PoissonStream(derive_seed(base_seed, r)).
+    The walks advance together, a pass of about _PASS keys at a time, because
+    ensemble means at k ~ 10^3 would otherwise dominate the validation
+    suite's runtime.
     """
+    if k < 1 or c < 1:
+        raise ValueError("need k >= 1 and C >= 1")
     if reps < 1:
         raise ValueError("need reps >= 1")
+    goal = k - 1 + c
     bases = np.array(
         [_rng.stream_base(_rng.derive_seed(base_seed, r), _rng.SALT_COIN) for r in range(reps)],
         dtype=np.uint64,
-    )
-    n_clients = np.zeros(reps, dtype=np.int64)
-    n_providers = np.zeros(reps, dtype=np.int64)
-    fired = np.zeros(reps, dtype=np.int64)
-    result = np.full(reps, -1, dtype=np.int64)
-    active = np.ones(reps, dtype=bool)
-    step = 0
-    while active.any():
-        keys = _rng.mix64_np(bases + np.uint64(step * _rng._GOLDEN & _rng._MASK))
-        bits = (keys >> np.uint64(63)).astype(np.int64)
-        n_clients += bits * active
-        n_providers += (1 - bits) * active
-        firing = active & (n_clients >= c) & (n_providers >= c)
-        n_clients -= firing
-        n_providers -= firing
-        fired += firing
-        done = firing & (fired == k)
-        result[done] = step + 1
-        active &= ~done
-        step += 1
-        if step >= ARRIVAL_CAP:
+    )[:, None]
+    clients = np.zeros((reps, 1), dtype=np.int64)
+    result = np.empty(reps, dtype=np.int64)
+    live = np.arange(reps)
+    done = 0
+    while live.size:
+        if done >= ARRIVAL_CAP:
             raise RuntimeError(f"no {k}-th firing within {ARRIVAL_CAP} arrivals")
+        idx = np.arange(done, done + max(8, _PASS // live.size), dtype=np.uint64)
+        sides = (_rng.keys1_np(bases[live], idx) >> np.uint64(63)).view(np.int64)
+        running, u = couples(sides, clients[live], done)
+        hit = u[:, -1] >= goal
+        result[live[hit]] = done + 1 + (u[hit] < goal).sum(axis=1)
+        clients[live] = running[:, -1:]
+        live = live[~hit]
+        done += idx.size
     return result

@@ -88,24 +88,42 @@ def _factor(agent_id: int, salt: int, model: RateModel, run_seed: int) -> float:
     return lo + (hi - lo) * u
 
 
-def rate_of(client_id: int, provider_id: int, model: RateModel, run_seed: int) -> float:
-    """Rate lambda_ij of the pair, inside [lam_under, lam_over]."""
+def rate_of(client_id, provider_id, model: RateModel, run_seed: int):
+    """Rate lambda_ij of each pair, inside [lam_under, lam_over].
+
+    Elementwise over broadcastable id arrays; plain ids give one float.
+    """
+    shape = np.broadcast_shapes(np.shape(client_id), np.shape(provider_id))
+    client_ids, provider_ids = _keys(client_id), _keys(provider_id)
     if model.mode == CONSTANT:
-        return model.lam_mean
+        return np.full(shape, model.lam_mean)[()]
     if model.mode == UNIFORM_IID:
         base = _rng.stream_base(run_seed, _rng.SALT_RATE)
-        u = _rng.u01(_rng.key2(base, client_id, provider_id))
-        return model.lam_under + (model.lam_over - model.lam_under) * u
-    fc = _factor(client_id, _rng.SALT_FACTOR_CLIENT, model, run_seed)
-    fp = _factor(provider_id, _rng.SALT_FACTOR_PROVIDER, model, run_seed)
-    return min(max(fc * fp, model.lam_under), model.lam_over)
+        keys = _rng.keys2_np(base, client_ids, provider_ids)
+        rates = model.lam_under + (model.lam_over - model.lam_under) * _rng.u01_np(keys)
+    else:
+        fc = _factors_np(client_ids, _rng.SALT_FACTOR_CLIENT, model, run_seed)
+        fp = _factors_np(provider_ids, _rng.SALT_FACTOR_PROVIDER, model, run_seed)
+        rates = np.clip(fc * fp, model.lam_under, model.lam_over)
+    return rates.reshape(shape)[()]
+
+
+def _keys(values) -> np.ndarray:
+    """Ids or seeds as a uint64 array of at least one dimension.
+
+    Key arithmetic on 0-d arrays would fall through to numpy scalars, which
+    warn on the intended 64-bit wraparound.
+    """
+    if isinstance(values, int):
+        values &= _rng._MASK
+    return np.atleast_1d(np.asarray(values, dtype=np.uint64))
 
 
 def draw_pair_cost(
     client_id: int, provider_id: int, model: RateModel, run_seed: int
 ) -> float:
     """Realized match cost w_ij, an exponential with rate rate_of(...)."""
-    return pair_cost_at_event(client_id, provider_id, model, run_seed, run_seed)
+    return float(pair_cost_at_event(client_id, provider_id, model, run_seed, run_seed))
 
 
 def _factors_np(ids: np.ndarray, salt: int, model: RateModel, run_seed: int) -> np.ndarray:
@@ -140,19 +158,22 @@ def cost_matrix(
     return cost_matrix_at_event(client_ids, provider_ids, model, run_seed, run_seed)
 
 
-def pair_cost_at_event(
-    client_id: int, provider_id: int, model: RateModel, run_seed: int, event_seed: int
-) -> float:
+def pair_cost_at_event(client_id, provider_id, model: RateModel, run_seed: int, event_seed):
     """Cost draw keyed by a clearing-event seed, at the run's structural rate.
 
-    With event_seed == run_seed this is exactly draw_pair_cost; later events
-    pass their own seeds so minima taken at distinct events stay independent.
+    Elementwise over broadcastable arrays of ids and event seeds, so a FIFO
+    run prices its k-th client and k-th provider at event k in one call;
+    plain arguments give one float.  With event_seed == run_seed this is
+    exactly draw_pair_cost; later events pass their own seeds so minima
+    taken at distinct events stay independent.  Each draw equals
+    cost_matrix_at_event's entry for the pair bit for bit.
     """
-    base = _rng.stream_base(event_seed, _rng.SALT_COST)
-    u = _rng.u01(_rng.key2(base, client_id, provider_id))
-    # np.log, not math.log: the two differ in the last bit on a few inputs,
-    # and this draw must equal cost_matrix_at_event's entry bit for bit
-    return -float(np.log(u)) / rate_of(client_id, provider_id, model, run_seed)
+    shape = np.broadcast_shapes(np.shape(client_id), np.shape(provider_id), np.shape(event_seed))
+    client_ids, provider_ids = _keys(client_id), _keys(provider_id)
+    base = _rng.stream_bases_np(_keys(event_seed), _rng.SALT_COST)
+    keys = _rng.keys2_np(base, client_ids, provider_ids)
+    costs = -np.log(_rng.u01_np(keys)) / rate_of(client_ids, provider_ids, model, run_seed)
+    return costs.reshape(shape)[()]
 
 
 def cost_matrix_at_event(
@@ -174,9 +195,9 @@ class PoolRates:
     """Pair rates of a heterogeneous run's pools, with the running row sums.
 
     Client slot i and provider slot j stand for the engine's pool_c[i] and
-    pool_p[j]; remove() swap-removes both like the engine's take.  Each
+    pool_p[j]; remove() swap-removes both like the engine's replay.  Each
     agent's term is computed once, on arrival: under uniform_iid a client's
-    row key key1(rate base, id) and a provider's id * INDEX2 (the pair's key2
+    row key key1(rate base, id) and a provider's id * INDEX2 (the pair key
     mixes their sum), under product_form its factor.  So row(i) and col(j)
     are one vector op each, equal bit for bit to rate_matrix on the pools.
     row_sums[i] is client i's total rate to the present providers: the new

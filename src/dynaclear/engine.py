@@ -1,53 +1,57 @@
-"""Discrete-event loop for the matching market.
+"""Clearing runs of the matching market.
 
 Arrivals stream in over a rate-1 clock; the schedule decides when a couple is
 matched; the waiting integral of the unmatched count is accrued exactly
 between events.  Costs come either from the exponential pair-cost model or
 from a count-decay law.
 
+Thresholds never decrease, so clearing a fires at the first arrival whose
+couple count reaches a - 1 + f(a), whichever agents match and whatever they
+cost.  So every run (_walk) folds over the arrival blocks in closed form,
+carrying the counts, the clock and the running totals from block to block;
+the patient pools are the walk with f = infinity.  Each block's clearings
+are priced at once:
+- constant rate: a uniform row and column pick and an exponential cost in
+  lambda * m_c * m_p.  At constant rate the cheapest of the m_c * m_p pairs
+  is a uniform pair, and its cost has that law at every pool size;
+- FIFO (fcfs under a rate model): the k-th client and the k-th provider, at
+  their pair's rate, in one vector costs.pair_cost_at_event;
+- decay: the count-decay law, paired FIFO, once per distinct short side;
+- heterogeneous rates without FIFO pairing, the one pricer that reads the
+  pools: the block's arrivals are replayed one by one into the pools and one
+  costs.PoolRates, and each clearing picks a row by the running row sums of
+  the rates, a column by that row's rates and an exponential in the total
+  rate.  Each agent's rate term is hashed once on arrival, so a row or
+  column of rates is one vector mix, and memory stays O(pool).
+The sampled routes draw the minimum-cost couple from the exact
+exponential-minimum law (pair (i, j) wins with probability lambda_ij over
+the total rate, and the minimum is exponential in that total) instead of
+materializing the cost matrix, so they realize the matrix argmin's
+distribution.  Runs without cost accounting pair agents unpriced.
+
 Each clearing event draws its own fresh costs, keyed by the seed that
-_rng.event_seeds(run_seed) gives event k.  The first event reuses the run
+_rng.event_seeds(run_seed, ks) gives event k.  The first event reuses the run
 seed itself.  At constant rate it prices a pool of up to SEAM_PAIRS pairs
 with costs.cost_matrix_at_event and takes the matrix's first argmin, so
 constant-rate runs with a single clearing event (hand tapes) and the patient
 terminal assignment see exactly the canonical per-pair draws of the cost
 model.  SEAM_PAIRS only bounds that matrix: a schedule whose first threshold
 is large can make the first pool arbitrarily large.
-
-A run picks its pricer once, from its cost mode and schedule:
-- FIFO (fcfs under a rate model): one scalar draw for the two oldest agents;
-- decay: the count-decay law, paired FIFO;
-- constant rate, every event but a small first one: a uniform row and column
-  pick and an exponential cost in lambda * m_c * m_p.  At constant rate the
-  cheapest of the m_c * m_p pairs is a uniform pair, and its cost has that
-  law at every pool size;
-- heterogeneous rates, at every pool size: a row pick by the running row
-  sums of the rates, a column pick by that row's rates and an exponential in
-  the total rate.  The rows, columns and row sums come from one
-  costs.PoolRates per run, kept aligned with the pools: each agent's rate
-  term is hashed once on arrival, so a row or column of rates is one vector
-  mix, and memory stays O(pool).
-The sampled routes draw the minimum-cost couple from the exact
-exponential-minimum law (pair (i, j) wins with probability lambda_ij over
-the total rate, and the minimum is exponential in that total) instead of
-materializing the cost matrix, so they realize the matrix argmin's
-distribution.  Runs without cost accounting pair agents unpriced.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _rng, costs
-from .arrivals import ARRIVAL_CAP, PoissonStream
+from .arrivals import ARRIVAL_CAP, PoissonStream, couples
 from .assignment import min_k_assignment
 from .costs import CONSTANT, RateModel
-from .schedules import FCFS, PATIENT, ScheduleSpec, threshold
+from .schedules import FCFS, GREEDY, PATIENT, ScheduleSpec, threshold
 
 __all__ = [
     "Horizon",
@@ -114,9 +118,12 @@ CostMode = Union[RateModel, DecayModel]
 StopRule = Union[Horizon, MatchTarget]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
-    """One match, with the run's cumulative cost and waiting integral just after it."""
+    """One match, with the run's cumulative cost and waiting integral just after it.
+
+    Slotted: a traced bundle holds one record per match of each traced run.
+    """
 
     k: int
     time: float
@@ -236,14 +243,13 @@ def run(
         return _run_patient(
             spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
         )
-    return _run_threshold(
+    return _walk(
         spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
     )[0]
 
 
-def _pick_index(u: float, n: int) -> int:
-    i = int(u * n)
-    return n - 1 if i >= n else i
+def _runaway() -> RuntimeError:
+    return RuntimeError(f"runaway run: more than {ARRIVAL_CAP} arrivals")
 
 
 def _first_reaching(weights: Sequence[float], goal: float) -> int:
@@ -257,162 +263,223 @@ def _first_reaching(weights: Sequence[float], goal: float) -> int:
     return i if hit[i] else len(hit) - 1
 
 
-def _seam_uniforms(event_seed: int) -> Tuple[float, float, float]:
-    """The sampled routes' row, column and cost uniforms for one event."""
-    base = _rng.stream_base(event_seed, _rng.SALT_PICK)
-    return _rng.u01(_rng.key1(base, 0)), _rng.u01(_rng.key1(base, 1)), _rng.u01(_rng.key1(base, 2))
+def _seam_uniforms(event_seeds: np.ndarray, slot: int) -> np.ndarray:
+    """The sampled routes' row (slot 0), column (1) or cost (2) uniform, per event seed."""
+    return _rng.u01_np(_rng.keys1_np(_rng.stream_bases_np(event_seeds, _rng.SALT_PICK), slot))
 
 
-def _run_threshold(
-    spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid,
-):
-    """The event loop; returns (trace, unmatched clients, unmatched providers).
+def _hetero_pick(rates, event_seeds, prices):
+    """The heterogeneous pricer: pick(e) -> (client slot, provider slot) of clearing e.
 
-    The patient schedule is the threshold-infinity member of the family: it
-    never clears here and leaves its pools to the terminal assignment.
+    It picks a row by the running row sums of the rates, a column by that
+    row's rates, and writes prices[e], an exponential in the total rate.
+    """
+    u_rows, u_cols, u_costs = (_seam_uniforms(event_seeds, slot).tolist() for slot in range(3))
+
+    def pick(e: int) -> Tuple[int, int]:
+        row_sums = rates.row_sums
+        total = math.fsum(row_sums.tolist())
+        i = _first_reaching(row_sums, u_rows[e] * total)
+        row = rates.row(i)
+        j = _first_reaching(row, u_cols[e] * float(row.sum()))
+        prices[e] = -math.log(u_costs[e]) / total
+        rates.remove(i, j)
+        return i, j
+
+    return pick
+
+
+def _replay(pool_c, pool_p, ids, sides, pos, pick, rates=None):
+    """Replay one block on the waiting id lists; returns (client ids, provider ids).
+
+    The block's arrivals join the pools, and the pool rates when given, one
+    by one; clearing e fires on arrival pos[e] and swap-removes client slot
+    i and provider slot j, where (i, j) = pick(e).
+    """
+    cids: List[int] = []
+    pids: List[int] = []
+    fires = iter(pos)
+    at = next(fires, -1)
+    for now, (agent, is_client) in enumerate(zip(ids, sides)):
+        if is_client:
+            pool_c.append(agent)
+            if rates is not None:
+                rates.add_client(agent)
+        else:
+            pool_p.append(agent)
+            if rates is not None:
+                rates.add_provider(agent)
+        if now == at:
+            i, j = pick(len(cids))
+            cids.append(pool_c[i])
+            pids.append(pool_p[j])
+            pool_c[i] = pool_c[-1]
+            pool_c.pop()
+            pool_p[j] = pool_p[-1]
+            pool_p.pop()
+            at = next(fires, -1)
+    return cids, pids
+
+
+def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a_grid, tau_grid):
+    """One run over the arrival walk; returns (trace, waiting clients, waiting providers).
+
+    Thresholds never decrease, so clearing a fires at the first arrival whose
+    couple count reaches g(a) = a - 1 + f(a) (arrivals.couples), at most one
+    per arrival.  Each arrival block is one chunk: a searchsorted of the
+    goals g(a) places its clearings, and the waiting integral and the
+    running cost accrue by sequential cumsums from the carried totals, in
+    arrival order, so every sum keeps the bits of an event-by-event loop.  Between blocks only the counts, the
+    clock, the totals and the ids pairing needs are carried: the waiting
+    ids where pairing is FIFO, and before the first clearing, so that a
+    patient run (f = infinity) returns its whole pools; the pools, and the
+    heterogeneous pool rates, where picks are replayed.
     """
     micro = isinstance(cost_mode, RateModel)
     fifo = spec.kind == FCFS or not micro
-    hetero = not fifo and collect_costs and cost_mode.mode != CONSTANT
-    horizon = stop.tau_max if isinstance(stop, Horizon) else None
-    target = stop.a_max if isinstance(stop, MatchTarget) else None
+    hetero = collect_costs and micro and not fifo and cost_mode.mode != CONSTANT
+    replay = hetero or (collect_records and not fifo and spec.kind != PATIENT)
+    horizon = float(stop.tau_max) if isinstance(stop, Horizon) else None
+    target = stop.a_max if isinstance(stop, MatchTarget) else math.inf
+    unit = spec.kind in (GREEDY, FCFS)
     src = source if source is not None else PoissonStream(seed)
-    event_seed = _rng.event_seeds(seed)
-
-    pool_c: Union[deque, list] = deque() if fifo else []
-    pool_p: Union[deque, list] = deque() if fifo else []
     rates = costs.PoolRates(cost_mode, seed) if hetero else None
 
-    clock = 0.0
-    wait = 0.0
-    n_c = n_p = a = 0
-    cum = 0.0
-    arrivals = 0
+    n = n_c = a = 0
+    clock = wait = cum = 0.0
+    goal = math.inf if spec.kind == PATIENT else 1 if unit else threshold(spec, 1)
+    wait_c = wait_p = np.empty(0, dtype=np.int64)
+    pool_c: List[int] = []
+    pool_p: List[int] = []
     records: List[MatchRecord] = []
     a_costs: List[float] = []
     tau_waits: List[float] = []
-    t_pos = 0
-    n_tau = len(tau_grid)
-    a_pos = 0
-    n_a = len(a_grid)
-    need = math.inf if spec.kind == PATIENT else threshold(spec, 1)
     done = False
-
-    def advance(to_t: float) -> None:
-        nonlocal clock, wait, t_pos
-        r = len(pool_c) + len(pool_p)
-        while t_pos < n_tau and clock < tau_grid[t_pos] <= to_t:
-            tau_waits.append(wait + r * (tau_grid[t_pos] - clock))
-            t_pos += 1
-        wait += r * (to_t - clock)
-        clock = to_t
-
-    # The pricers: each clears event k on pools of m_c clients and m_p
-    # providers and returns (client id, provider id, cost).  The run picks
-    # one from its cost mode.
-
-    def take(i: int, j: int) -> Tuple[int, int]:
-        cid = pool_c[i]
-        pid = pool_p[j]
-        pool_c[i] = pool_c[-1]
-        pool_c.pop()
-        pool_p[j] = pool_p[-1]
-        pool_p.pop()
-        return cid, pid
-
-    def clear_fifo_unpriced(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        return pool_c.popleft(), pool_p.popleft(), 0.0
-
-    def clear_fifo(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        cid = pool_c.popleft()
-        pid = pool_p.popleft()
-        return cid, pid, costs.pair_cost_at_event(cid, pid, cost_mode, seed, event_seed(k))
-
-    def clear_decay(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        return pool_c.popleft(), pool_p.popleft(), cost_mode.cost(m_c, m_p)
-
-    def clear_unpriced(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        return pool_c.pop(), pool_p.pop(), 0.0
-
-    def clear_constant(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        if k == 1 and m_c * m_p <= SEAM_PAIRS:
-            mat = costs.cost_matrix_at_event(pool_c, pool_p, cost_mode, seed, event_seed(k))
-            i, j = divmod(int(mat.argmin()), m_p)
-            cost = float(mat[i, j])
-        else:
-            u_row, u_col, u_cost = _seam_uniforms(event_seed(k))
-            i = _pick_index(u_row, m_c)
-            j = _pick_index(u_col, m_p)
-            cost = -float(np.log(u_cost)) / (cost_mode.lam_mean * m_c * m_p)
-        cid, pid = take(i, j)
-        return cid, pid, cost
-
-    def clear_hetero(k: int, m_c: int, m_p: int) -> Tuple[int, int, float]:
-        u_row, u_col, u_cost = _seam_uniforms(event_seed(k))
-        row_sums = rates.row_sums
-        total = math.fsum(row_sums.tolist())
-        i = _first_reaching(row_sums, u_row * total)
-        row = rates.row(i)
-        j = _first_reaching(row, u_col * float(row.sum()))
-        cost = -math.log(u_cost) / total
-        rates.remove(i, j)
-        cid, pid = take(i, j)
-        return cid, pid, cost
-
-    if not collect_costs:
-        clear = clear_fifo_unpriced if fifo else clear_unpriced
-    elif fifo:
-        clear = clear_fifo if micro else clear_decay
-    else:
-        clear = clear_hetero if hetero else clear_constant
 
     while not done:
         times, sides = src.take_block()
-        if not times:
+        if not len(times):
             if horizon is None:
                 raise RuntimeError("arrival source exhausted before the match target")
-            if clock < horizon:
-                advance(horizon)
             break
-        for t, is_client in zip(times, sides):
-            if horizon is not None and t > horizon:
-                advance(horizon)
-                done = True
-                break
-            advance(t)
-            arrivals += 1
-            if arrivals > ARRIVAL_CAP:
-                raise RuntimeError(f"runaway run: more than {ARRIVAL_CAP} arrivals")
-            if is_client:
-                n_c += 1
-                pool_c.append(arrivals)
-                if rates is not None:
-                    rates.add_client(arrivals)
-            else:
-                n_p += 1
-                pool_p.append(arrivals)
-                if rates is not None:
-                    rates.add_provider(arrivals)
-            while len(pool_c) >= need and len(pool_p) >= need:
-                a += 1
-                m_c = len(pool_c)
-                m_p = len(pool_p)
-                cid, pid, cost = clear(a, m_c, m_p)
-                cum += cost
-                if collect_records:
-                    records.append(MatchRecord(a, clock, cid, pid, cost, m_c, m_p, cum, wait))
-                if a_pos < n_a and a == a_grid[a_pos]:
-                    a_costs.append(cum)
-                    a_pos += 1
-                need = threshold(spec, a + 1)
-                if target is not None and a == target:
-                    done = True
-                    break
-            if done:
-                break
+        t = np.asarray(times, dtype=np.float64)
+        s = np.asarray(sides, dtype=np.int64)
+        if horizon is not None and t[-1] > horizon:
+            cut = int(np.searchsorted(t, horizon, side="right"))
+            t, s = t[:cut], s[:cut]
+            done = True
+        if not t.size:
+            break
+        runaway = n + t.size > ARRIVAL_CAP
+        if runaway:
+            t, s = t[: ARRIVAL_CAP - n], s[: ARRIVAL_CAP - n]
+            if not t.size:
+                raise _runaway()
+        nc, u = couples(s, n_c, n)
 
+        # the goals g(a) of this block's clearings; f(a + 1) is asked for
+        # once clearing a has fired, unless a is the target (a table of A
+        # rows serves MatchTarget(A))
+        if unit:
+            goals = np.arange(a + 1, min(int(u[-1]), target) + 1)
+        else:
+            found = []
+            while goal <= u[-1]:
+                found.append(goal)
+                k = a + len(found) + 1
+                goal = k - 1 + threshold(spec, k) if k <= target else math.inf
+            goals = np.array(found, dtype=np.int64)
+        pos = np.searchsorted(u, goals)
+        fired = goals.size
+        if a + fired == target:
+            done = True
+            t, s, nc = t[: pos[-1] + 1], s[: pos[-1] + 1], nc[: pos[-1] + 1]
+
+        # the pools as each clearing fires, and before every arrival
+        ks = np.arange(a + 1, a + fired + 1)
+        c_at = nc[pos]
+        m_c = c_at - (ks - 1)
+        m_p = (n + 1 + pos - c_at) - (ks - 1)
+        steps = np.arange(t.size)
+        before = n + steps - 2 * (a + np.searchsorted(pos, steps))
+        waits = np.cumsum(np.concatenate(([wait], before * np.diff(t, prepend=clock))))
+        while len(tau_waits) < len(tau_grid) and tau_grid[len(tau_waits)] <= t[-1]:
+            tau = tau_grid[len(tau_waits)]
+            j = int(np.searchsorted(t, tau))
+            since = float(t[j - 1]) if j else clock
+            tau_waits.append(float(waits[j]) + int(before[j]) * (tau - since))
+
+        # prices, and the pool slots each clearing takes
+        ids = np.arange(n + 1, n + t.size + 1)
+        if fifo or a == 0:
+            wait_c = np.concatenate((wait_c, ids[s == 1]))
+            wait_p = np.concatenate((wait_p, ids[s == 0]))
+        prices = np.zeros(fired)
+        # unpriced clearings take the youngest waiting agents
+        pick = lambda e: (len(pool_c) - 1, len(pool_p) - 1)
+        if fired and collect_costs:
+            seeds = _rng.event_seeds(seed, ks)
+            if not micro:
+                short, slot = np.unique(np.minimum(m_c, m_p), return_inverse=True)
+                prices = np.array([cost_mode.cost(m, m) for m in short.tolist()])[slot]
+            elif fifo:
+                prices = costs.pair_cost_at_event(
+                    wait_c[:fired], wait_p[:fired], cost_mode, seed, seeds,
+                )
+            elif hetero:
+                pick = _hetero_pick(rates, seeds, prices)
+            else:
+                prices = -np.log(_seam_uniforms(seeds, 2)) / ((cost_mode.lam_mean * m_c) * m_p)
+                if replay:
+                    rows = np.minimum((_seam_uniforms(seeds, 0) * m_c).astype(np.int64), m_c - 1)
+                    cols = np.minimum((_seam_uniforms(seeds, 1) * m_p).astype(np.int64), m_p - 1)
+                    pick = lambda e: (rows[e], cols[e])
+                if a == 0 and m_c[0] * m_p[0] <= SEAM_PAIRS:
+                    mat = costs.cost_matrix_at_event(
+                        wait_c[: m_c[0]], wait_p[: m_p[0]], cost_mode, seed, int(seeds[0]),
+                    )
+                    i, j = divmod(int(mat.argmin()), int(m_p[0]))
+                    prices[0] = mat[i, j]
+                    if replay:
+                        rows[0], cols[0] = i, j
+        if replay:
+            cids, pids = _replay(
+                pool_c, pool_p, ids.tolist(), s.tolist(), pos.tolist(), pick, rates,
+            )
+        else:
+            cids, pids = wait_c[:fired].tolist(), wait_p[:fired].tolist()
+        totals = np.cumsum(np.concatenate(([cum], prices)))[1:]
+        if collect_records:
+            records.extend(map(
+                MatchRecord, ks.tolist(), t[pos].tolist(), cids, pids, prices.tolist(),
+                m_c.tolist(), m_p.tolist(), totals.tolist(), waits[pos + 1].tolist(),
+            ))
+        while len(a_costs) < len(a_grid) and a_grid[len(a_costs)] <= a + fired:
+            a_costs.append(float(totals[a_grid[len(a_costs)] - a - 1]))
+        if fifo:
+            wait_c, wait_p = wait_c[fired:], wait_p[fired:]
+        elif fired:
+            wait_c = wait_p = np.empty(0, dtype=np.int64)
+
+        n += t.size
+        n_c = int(nc[-1])
+        a += fired
+        clock = float(t[-1])
+        wait = float(waits[-1])
+        if fired:
+            cum = float(totals[-1])
+        if runaway and not done:
+            raise _runaway()
+
+    if horizon is not None and clock < horizon:
+        r = n - 2 * a
+        for tau in tau_grid[len(tau_waits):]:
+            if tau <= horizon:
+                tau_waits.append(wait + r * (tau - clock))
+        wait += r * (horizon - clock)
+        clock = horizon
     summary = RunSummary(
-        tau=clock, n_c=n_c, n_p=n_p, a=a, wait_integral=wait, total_cost=cum,
+        tau=clock, n_c=n_c, n_p=n - n_c, a=a, wait_integral=wait, total_cost=cum,
         seed=seed, schedule=spec.label(), mode=_mode_label(cost_mode),
     )
     trace = RunTrace(
@@ -420,7 +487,7 @@ def _run_threshold(
         a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
         tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
     )
-    return trace, pool_c, pool_p
+    return trace, wait_c, wait_p
 
 
 def patient_pools(spec, cost_mode, stop, seed, source=None, collect_records=False, tau_grid=()):
@@ -438,9 +505,10 @@ def patient_pools(spec, cost_mode, stop, seed, source=None, collect_records=Fals
         target = 0
     for attempt in range(_PATIENT_RETRY_CAP):
         run_seed = seed if attempt == 0 else _rng.derive_seed(seed, attempt)
-        trace, pool_c, pool_p = _run_threshold(
+        trace, waiting_c, waiting_p = _walk(
             spec, cost_mode, stop, run_seed, source, False, collect_records, (), tau_grid,
         )
+        pool_c, pool_p = waiting_c.tolist(), waiting_p.tolist()
         short = min(len(pool_c), len(pool_p))
         if short >= target:
             trace.summary = replace(trace.summary, retries=attempt)

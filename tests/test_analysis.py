@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import random
 
 import numpy as np
@@ -195,6 +196,24 @@ def test_empirical_denominator_agrees_with_analytic_at_scale():
     den = empirical_patient_denominator((50,), UNIT, 555, 10_000)
     analytic = oracles.patient_cost_equal_sided(50)
     assert abs(den.value(50) / analytic - 1.0) <= 0.05
+
+
+def test_empirical_denominator_spawns_where_fork_is_missing(monkeypatch):
+    # a platform without fork gets spawned workers and the same means
+    methods = []
+    real_get_context = multiprocessing.get_context
+
+    def get_context(method=None):
+        methods.append(method)
+        return real_get_context(method)
+
+    model = RateModel.uniform_iid(0.5, 2.0)
+    serial = empirical_patient_denominator((3, 8), model, 4545, 6, jobs=1)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    spawned = empirical_patient_denominator((3, 8), model, 4545, 6, jobs=2)
+    assert methods == ["spawn"]
+    assert spawned == serial
 
 
 def test_empirical_denominator_validation():

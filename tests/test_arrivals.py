@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynaclear import _rng, oracles
+from dynaclear import _rng, arrivals, oracles
 from dynaclear.arrivals import (
     CLIENT,
     PROVIDER,
     PoissonStream,
     TapeSource,
-    stopping_time_sample,
     stopping_time_samples,
 )
 from dynaclear.costs import RateModel
-from dynaclear.engine import Horizon, run
+from dynaclear.engine import Horizon, MatchTarget, run
 from dynaclear.schedules import ScheduleSpec
 
 
@@ -51,6 +50,51 @@ def test_times_strictly_increase():
     times, _ = _drain(PoissonStream(3), 100_000)
     assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
     assert times[0] > 0.0
+
+
+def _loop_nudged(times, prev):
+    # the strict-increase pass every block used to run
+    out = list(times)
+    for i, t in enumerate(out):
+        if t <= prev:
+            t = math.nextafter(prev, math.inf)
+            out[i] = t
+        prev = t
+    return out
+
+
+def test_tied_times_are_nudged_as_the_loop_did(monkeypatch):
+    # every third gap uniform is 1, so every third gap is 0 and its arrival
+    # ties the one before; the first block also ties the clock origin
+    real_u01 = _rng.u01_np
+
+    def tying(h):
+        u = real_u01(h)
+        u[::3] = 1.0
+        return u
+
+    nudges = []
+    real_nudged = arrivals._nudged
+
+    def counting(times, prev):
+        nudges.append(len(times))
+        return real_nudged(times, prev)
+
+    monkeypatch.setattr(arrivals, "_nudged", counting)
+    PoissonStream(41).take_block(500)
+    assert nudges == []
+    monkeypatch.setattr(_rng, "u01_np", tying)
+    stream = PoissonStream(41)
+    prev = 0.0
+    for start in (0, 500):
+        idx = np.arange(start, start + 500, dtype=np.uint64)
+        raw = prev + np.cumsum(-np.log(tying(_rng.keys1_np(stream._gap_base, idx))))
+        times, _ = stream.take_block(500)
+        want = _loop_nudged(raw.tolist(), prev)
+        assert times.tolist() == want
+        assert all(t1 > t0 for t0, t1 in zip([prev] + want, want))
+        prev = want[-1]
+    assert nudges == [500, 500]
 
 
 def test_interarrival_mean_and_side_fraction():
@@ -92,34 +136,69 @@ def test_walk_mean_matches_exact_value(k):
     assert 0.67 * root <= mean <= 1.23 * root
 
 
+def _counted_stopping_time(k, c, seed):
+    """t(k, C) by counting one arrival at a time on seed's coin stream."""
+    coin_base = _rng.stream_base(seed, _rng.SALT_COIN)
+    clients = providers = fired = arrived = 0
+    while True:
+        if _rng.key1(coin_base, arrived) >> 63:
+            clients += 1
+        else:
+            providers += 1
+        arrived += 1
+        while clients >= c and providers >= c:
+            clients -= 1
+            providers -= 1
+            fired += 1
+            if fired == k:
+                return arrived
+
+
 @given(seed=st.integers(0, 2**62))
 @settings(max_examples=200)
 def test_first_firing_needs_one_of_each(seed):
-    assert stopping_time_sample(1, 1, seed) >= 2
+    assert (stopping_time_samples(1, 1, 4, seed) >= 2).all()
 
 
 @given(seed=st.integers(0, 2**62), k=st.integers(1, 4), c=st.integers(1, 3))
 @settings(max_examples=60)
 def test_firing_consumes_two_arrivals_each(seed, k, c):
     # the k-th firing needs 2C agents for the first plus 2 per later firing
-    assert stopping_time_sample(k, c, seed) >= 2 * c + 2 * (k - 1)
+    assert (stopping_time_samples(k, c, 4, seed) >= 2 * c + 2 * (k - 1)).all()
 
 
-def test_vectorized_stopping_times_match_scalar_path():
-    for k, c in [(1, 1), (3, 2), (5, 1), (2, 3)]:
-        batch = stopping_time_samples(k, c, 8, 600 + k * 10 + c)
-        scalar = [
-            stopping_time_sample(k, c, _rng.derive_seed(600 + k * 10 + c, r))
-            for r in range(8)
-        ]
-        assert batch.tolist() == scalar
+def test_vectorized_stopping_times_match_scalar_path(monkeypatch):
+    cases = [(1, 1), (3, 2), (5, 1), (2, 3), (40, 4)]
+    counted = {
+        (k, c): [_counted_stopping_time(k, c, _rng.derive_seed(600 + k * 10 + c, r)) for r in range(8)]
+        for k, c in cases
+    }
+    # 64 keys per pass makes every walk span several passes of 8 arrivals
+    for keys_per_pass in (arrivals._PASS, 64):
+        monkeypatch.setattr(arrivals, "_PASS", keys_per_pass)
+        for k, c in cases:
+            assert stopping_time_samples(k, c, 8, 600 + k * 10 + c).tolist() == counted[k, c]
+
+
+def test_stopping_time_is_the_engine_walk_at_a_flat_threshold():
+    # f = C is the power schedule with gamma 0 and scale C: its k-th
+    # clearing fires on arrival t(k, C) of the replication's own stream
+    for k, c in [(1, 1), (7, 3), (300, 2)]:
+        spec = ScheduleSpec("power", gamma=0.0, scale=float(c))
+        samples = stopping_time_samples(k, c, 5, 900 + k)
+        for r, sample in enumerate(samples.tolist()):
+            trace = run(
+                spec, RateModel.constant(1.0), MatchTarget(k), _rng.derive_seed(900 + k, r),
+                collect_costs=False, collect_records=False,
+            )
+            assert trace.summary.n_c + trace.summary.n_p == sample
 
 
 def test_stopping_time_validation():
     with pytest.raises(ValueError):
-        stopping_time_sample(0, 1, 5)
+        stopping_time_samples(0, 1, 5, 5)
     with pytest.raises(ValueError):
-        stopping_time_sample(1, 0, 5)
+        stopping_time_samples(1, 0, 5, 5)
     with pytest.raises(ValueError):
         stopping_time_samples(1, 1, 0, 5)
 

@@ -3,13 +3,15 @@ and distributional pins against closed-form laws."""
 
 import math
 import multiprocessing
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
-from dynaclear import _rng, costs
+from dynaclear import _rng, costs, engine
 from dynaclear.arrivals import CLIENT, PROVIDER, PoissonStream, TapeSource
 from dynaclear.assignment import min_k_assignment
 from dynaclear.costs import RateModel, cost_matrix, draw_pair_cost
@@ -215,6 +217,73 @@ def test_horizon_run_counts_only_arrivals_inside():
     assert trace.summary.tau == horizon
 
 
+def test_exhausted_tapes_raise_on_every_route():
+    # a tape holds a matches; a match target past them exhausts it
+    tape = [(float(t), CLIENT if t % 3 else PROVIDER) for t in range(1, 13)]
+    routes = [
+        (GREEDY, UNIT, {}), (FCFS, UNIT, {}), (FCFS, RateModel.uniform_iid(0.5, 2.0), {}),
+        (ScheduleSpec("balanced"), UNIT, {}), (GREEDY, DecayModel(delta=3.0), {}),
+        (GREEDY, UNIT, {"collect_costs": False}), (GREEDY, RateModel.uniform_iid(0.5, 2.0), {}),
+    ]
+    for spec, model, kwargs in routes:
+        a = run(spec, model, Horizon(20.0), 1, TapeSource(tape), **kwargs).summary.a
+        assert a >= 1
+        assert run(spec, model, MatchTarget(a), 1, TapeSource(tape), **kwargs).summary.a == a
+        with pytest.raises(RuntimeError, match="exhausted"):
+            run(spec, model, MatchTarget(a + 1), 1, TapeSource(tape), **kwargs)
+
+
+@pytest.mark.parametrize("spec", [GREEDY, FCFS, ScheduleSpec("power", gamma=0.5)])
+def test_arrival_cap_stops_a_runaway_run(monkeypatch, spec):
+    # the cap counts arrivals: a run whose target clearing fires on arrival N
+    # passes under a cap of N and fails under N - 1, wherever the cap falls
+    # against the 4096-arrival blocks
+    s = run(spec, UNIT, MatchTarget(2500), seed=8, collect_records=False).summary
+    arrivals = s.n_c + s.n_p
+    for cap in (arrivals, arrivals - 1, 4096):
+        monkeypatch.setattr(engine, "ARRIVAL_CAP", cap)
+        if cap >= arrivals:
+            assert run(spec, UNIT, MatchTarget(2500), seed=8, collect_records=False).summary == s
+            continue
+        with pytest.raises(RuntimeError, match="runaway"):
+            run(spec, UNIT, MatchTarget(2500), seed=8, collect_records=False)
+        with pytest.raises(RuntimeError, match="runaway"):
+            run(spec, UNIT, Horizon(1e5), seed=8, collect_costs=False)
+
+
+def test_closed_form_runs_raise_no_runtime_warning():
+    # numpy integer scalars warn on the 64-bit wraparound the key kernels
+    # rely on; every route must keep its key arithmetic on arrays, also at
+    # seeds with the top bit set
+    routes = [
+        (GREEDY, UNIT), (ScheduleSpec("power", gamma=0.0, scale=24.0), UNIT),
+        (FCFS, UNIT), (FCFS, RateModel.uniform_iid(0.5, 2.0)),
+        (FCFS, RateModel.product_form(0.25, 4.0)), (ScheduleSpec("balanced"), DecayModel(1.5)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**63 + 12345, 2**64 - 1):
+            for spec, model in routes:
+                run(spec, model, MatchTarget(5000), seed, a_grid=(1, 5000), tau_grid=(10.0,))
+                run(spec, model, Horizon(900.0), seed, collect_costs=False)
+            run(PATIENT, UNIT, MatchTarget(30), seed)
+            draw_pair_cost(2**63, 2**64 - 1, RateModel.uniform_iid(0.5, 2.0), seed)
+
+
+def test_closed_form_memory_stays_bounded_in_the_run_length():
+    # a run carries its state from block to block, so its peak allocation
+    # does not grow with the number of matches
+    peaks = []
+    for target in (50_000, 400_000):
+        tracemalloc.start()
+        try:
+            run(GREEDY, UNIT, MatchTarget(target), seed=3, collect_records=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+
+
 def test_stop_rule_validation():
     with pytest.raises(ValueError):
         Horizon(0.0)
@@ -258,6 +327,15 @@ def test_decay_costs_are_deterministic_given_the_thresholds():
         2.0 / threshold(spec, k) ** 3 for k in range(1, 501)
     )
     assert abs(trace.summary.total_cost - expected_total) < 1e-12
+
+
+def test_a_custom_table_serves_a_match_target_of_its_length():
+    # the last clearing needs no threshold past the table
+    spec = ScheduleSpec("custom", table=(1, 1, 2, 2, 2, 3, 3, 3, 3, 4))
+    trace = run(spec, UNIT, MatchTarget(10), seed=3)
+    assert [min(r.m_c, r.m_p) for r in trace.records] == list(spec.table)
+    with pytest.raises(ValueError, match="covers k <= 10"):
+        run(spec, UNIT, MatchTarget(11), seed=3)
 
 
 def test_patient_tape_prices_the_full_canonical_assignment():
