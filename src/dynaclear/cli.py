@@ -11,7 +11,6 @@ config and seed on one platform.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -280,16 +279,22 @@ def _worker_count(jobs) -> int:
 
 
 def _write_traces(path: str, traced, config_hash: str) -> None:
+    """traces.csv from each traced run's match columns, one joined string per rep.
+
+    The rows are what csv.writer would write: floats as repr, a \\r\\n row
+    terminator, and no cell that needs quoting.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config {config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "k", "time", "cost", "m_c", "m_p", "cum_cost", "cum_wait"])
+        fh.write(f"# config {config_hash}\nrep,k,time,cost,m_c,m_p,cum_cost,cum_wait\r\n")
         for rep, trace in traced:
-            for r in trace.records:
-                writer.writerow([
-                    rep, r.k, repr(r.time), repr(r.cost), r.m_c, r.m_p,
-                    repr(r.cum_cost), repr(r.cum_wait),
-                ])
+            m = trace.matches
+            if m is None:
+                continue
+            cols = (m.k, m.time, m.cost, m.m_c, m.m_p, m.cum_cost, m.cum_wait)
+            fh.write("".join([
+                f"{rep},{k},{t!r},{c!r},{mc},{mp},{cc!r},{cw!r}\r\n"
+                for k, t, c, mc, mp, cc, cw in zip(*(col.tolist() for col in cols))
+            ]))
 
 
 def _run_inputs(cfg: ExperimentConfig):

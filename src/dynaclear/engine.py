@@ -42,8 +42,9 @@ is large can make the first pool arbitrarily large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,6 +137,28 @@ class MatchRecord:
     cum_wait: float
 
 
+class _Matches(NamedTuple):
+    """A run's matches as numpy columns, in MatchRecord field order."""
+
+    k: np.ndarray
+    time: np.ndarray
+    client_id: np.ndarray
+    provider_id: np.ndarray
+    cost: np.ndarray
+    m_c: np.ndarray
+    m_p: np.ndarray
+    cum_cost: np.ndarray
+    cum_wait: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Matches) and all(map(np.array_equal, self, other))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class RunSummary:
     tau: float
@@ -156,15 +179,24 @@ class RunTrace:
 
     a_grid_costs / tau_grid_waits are exact captures taken while the run was
     live, and the only points cost_at_match / wait_at can read; they let
-    ensemble runs skip per-match records entirely.
+    ensemble runs skip per-match records entirely.  A run with
+    collect_records keeps its matches as numpy columns (matches, None when
+    nothing was collected or nothing cleared); records builds the
+    MatchRecord list from them the first time it is read.
     """
 
-    records: List[MatchRecord]
     summary: RunSummary
     a_grid: Tuple[int, ...] = ()
     a_grid_costs: Tuple[float, ...] = ()
     tau_grid: Tuple[float, ...] = ()
     tau_grid_waits: Tuple[float, ...] = ()
+    matches: Optional[_Matches] = field(default=None, repr=False)
+
+    @cached_property
+    def records(self) -> List[MatchRecord]:
+        if self.matches is None:
+            return []
+        return list(map(MatchRecord, *(col.tolist() for col in self.matches)))
 
     def cost_at_match(self, a: int) -> float:
         if a not in self.a_grid:
@@ -351,7 +383,7 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
     wait_c = wait_p = np.empty(0, dtype=np.int64)
     pool_c: List[int] = []
     pool_p: List[int] = []
-    records: List[MatchRecord] = []
+    blocks: List[_Matches] = []
     a_costs: List[float] = []
     tau_waits: List[float] = []
     done = False
@@ -443,16 +475,16 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
                     if replay:
                         rows[0], cols[0] = i, j
         if replay:
-            cids, pids = _replay(
+            cids, pids = (np.array(side, dtype=np.int64) for side in _replay(
                 pool_c, pool_p, ids.tolist(), s.tolist(), pos.tolist(), pick, rates,
-            )
+            ))
         else:
-            cids, pids = wait_c[:fired].tolist(), wait_p[:fired].tolist()
+            # copies, so that no column keeps a whole waiting queue alive
+            cids, pids = wait_c[:fired].copy(), wait_p[:fired].copy()
         totals = np.cumsum(np.concatenate(([cum], prices)))[1:]
-        if collect_records:
-            records.extend(map(
-                MatchRecord, ks.tolist(), t[pos].tolist(), cids, pids, prices.tolist(),
-                m_c.tolist(), m_p.tolist(), totals.tolist(), waits[pos + 1].tolist(),
+        if collect_records and fired:
+            blocks.append(_Matches(
+                ks, t[pos], cids, pids, prices, m_c, m_p, totals, waits[pos + 1],
             ))
         while len(a_costs) < len(a_grid) and a_grid[len(a_costs)] <= a + fired:
             a_costs.append(float(totals[a_grid[len(a_costs)] - a - 1]))
@@ -483,9 +515,10 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
         seed=seed, schedule=spec.label(), mode=_mode_label(cost_mode),
     )
     trace = RunTrace(
-        records, summary,
+        summary,
         a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
         tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
+        matches=_Matches(*map(np.concatenate, zip(*blocks))) if blocks else None,
     )
     return trace, wait_c, wait_p
 
@@ -538,22 +571,20 @@ def _run_patient(
         )
     mat = costs.cost_matrix(pool_c, pool_p, cost_mode, summary.seed)
     asn = min_k_assignment(mat, k)
-    records: List[MatchRecord] = []
-    a_costs: List[float] = []
-    cum = 0.0
-    for idx, (i, j) in enumerate(sorted(asn.pairs)):
-        cost = float(mat[i, j])
-        cum += cost
-        if collect_records:
-            records.append(MatchRecord(
-                idx + 1, summary.tau, pool_c[i], pool_p[j], cost, n_c - idx, n_p - idx,
-                cum, summary.wait_integral,
-            ))
-        if len(a_costs) < len(a_grid) and idx + 1 == a_grid[len(a_costs)]:
-            a_costs.append(cum)
+    rows, cols = np.array(sorted(asn.pairs), dtype=np.int64).T
+    prices = mat[rows, cols]
+    totals = np.cumsum(prices)
+    ks = np.arange(1, len(prices) + 1)
+    matches = None
+    if collect_records:
+        matches = _Matches(
+            ks, np.full(len(ks), summary.tau), np.array(pool_c)[rows], np.array(pool_p)[cols],
+            prices, n_c + 1 - ks, n_p + 1 - ks, totals, np.full(len(ks), summary.wait_integral),
+        )
+    a_costs = [float(totals[a - 1]) for a in a_grid if a <= len(ks)]
     return replace(
-        trace, records=records, summary=replace(summary, a=k, total_cost=asn.total),
-        a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs),
+        trace, summary=replace(summary, a=k, total_cost=asn.total),
+        a_grid=a_grid[: len(a_costs)], a_grid_costs=tuple(a_costs), matches=matches,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, artifact layout, reproducibility."""
 
 import csv
+import io
 import json
 import math
 
@@ -8,6 +9,9 @@ import pytest
 
 from dynaclear import cli, oracles
 from dynaclear.cli import main
+from dynaclear.costs import RateModel
+from dynaclear.engine import DecayModel, Horizon, MatchTarget, run
+from dynaclear.schedules import parse_schedule
 
 
 def _read(path):
@@ -399,3 +403,51 @@ def test_validate_only_runs_selected_criteria(tmp_path, capsys):
 def test_validate_rejects_unknown_selector(capsys):
     assert main(["validate", "--only", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _csv_writer_traces(traced, config_hash):
+    """traces.csv as a csv.writer renders each trace's MatchRecords."""
+    buf = io.StringIO(newline="")
+    buf.write(f"# config {config_hash}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["rep", "k", "time", "cost", "m_c", "m_p", "cum_cost", "cum_wait"])
+    for rep, trace in traced:
+        for r in trace.records:
+            writer.writerow([
+                rep, r.k, repr(r.time), repr(r.cost), r.m_c, r.m_p,
+                repr(r.cum_cost), repr(r.cum_wait),
+            ])
+    return buf.getvalue().encode("utf-8")
+
+
+TRACE_CASES = {
+    "const-threshold": ("power:0.5", RateModel.constant(1.0), MatchTarget(300), {}),
+    "fifo": ("fcfs", RateModel.constant(0.37), MatchTarget(300), {}),
+    "decay": ("power:0.45", DecayModel(3.0), MatchTarget(300), {}),
+    "uniform": ("power:0.5", RateModel.uniform_iid(0.5, 2.0), MatchTarget(120), {}),
+    "product": ("power:0.5", RateModel.product_form(0.25, 4.0), MatchTarget(120), {}),
+    "patient": ("patient", RateModel.constant(1.0), MatchTarget(30), {}),
+    "no-costs": ("balanced", RateModel.constant(1.0), Horizon(500.0), {"collect_costs": False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_write_traces_matches_a_csv_writer_rendering(name, tmp_path):
+    schedule, mode, stop, kwargs = TRACE_CASES[name]
+    traced = [
+        (rep, run(parse_schedule(schedule), mode, stop, seed, **kwargs))
+        for rep, seed in enumerate((23, 24, 25))
+    ]
+    assert all(trace.records for _, trace in traced)
+    path = tmp_path / "traces.csv"
+    cli._write_traces(str(path), traced, "0123456789abcdef")
+    assert path.read_bytes() == _csv_writer_traces(traced, "0123456789abcdef")
+
+
+def test_write_traces_of_runs_without_clearings_is_the_header(tmp_path):
+    trace = run(parse_schedule("greedy"), RateModel.constant(1.0), Horizon(0.01), 23)
+    assert trace.summary.a == 0 and trace.records == []
+    path = tmp_path / "traces.csv"
+    cli._write_traces(str(path), [(0, trace), (1, trace)], "0123456789abcdef")
+    assert path.read_bytes() == _csv_writer_traces([], "0123456789abcdef")
+    assert path.read_bytes().count(b"\n") == 2

@@ -1,6 +1,7 @@
 """Event-loop behavior: hand-checkable tapes, exact bookkeeping invariants,
 and distributional pins against closed-form laws."""
 
+import dataclasses
 import math
 import multiprocessing
 import tracemalloc
@@ -18,16 +19,18 @@ from dynaclear.costs import RateModel, cost_matrix, draw_pair_cost
 from dynaclear.engine import (
     DecayModel,
     Horizon,
+    MatchRecord,
     MatchTarget,
     run,
     run_ensemble,
 )
-from dynaclear.schedules import ScheduleSpec, threshold
+from dynaclear.schedules import ScheduleSpec, parse_schedule, threshold
 
 UNIT = RateModel.constant(1.0)
 GREEDY = ScheduleSpec("greedy")
 FCFS = ScheduleSpec("fcfs")
 PATIENT = ScheduleSpec("patient")
+POWER = parse_schedule("power:0.5")
 
 
 def test_single_pair_tape():
@@ -177,6 +180,22 @@ def test_ensemble_is_deterministic_and_job_count_free():
     assert len(seeds) == 6
 
 
+@pytest.mark.parametrize("schedule", [POWER, PATIENT], ids=["power", "patient"])
+def test_ensemble_workers_ship_match_columns(schedule):
+    # records cross the pickle to the parent as columns and read back the same
+    serial = run_ensemble(schedule, UNIT, MatchTarget(40), 4545, 4, jobs=1)
+    forked = run_ensemble(schedule, UNIT, MatchTarget(40), 4545, 4, jobs=2)
+    assert [t.records for t in forked] == [t.records for t in serial]
+    assert forked == serial
+    assert not forked[0].matches != serial[0].matches
+    ints = {"k", "client_id", "provider_id", "m_c", "m_p"}
+    for trace in forked:
+        assert len(trace.records) == 40
+        for rec in trace.records:
+            for f in dataclasses.fields(MatchRecord):
+                assert type(getattr(rec, f.name)) is (int if f.name in ints else float)
+
+
 def test_ensemble_spawns_where_fork_is_missing(monkeypatch):
     # a platform without fork gets spawned workers and the same traces
     methods = []
@@ -282,6 +301,22 @@ def test_closed_form_memory_stays_bounded_in_the_run_length():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+def test_patient_records_cost_no_memory_beyond_the_pools():
+    # a patient walk never clears, so collecting its records keeps no column
+    # and no waiting queue of an earlier block alive
+    peaks = []
+    for collect in (False, True):
+        tracemalloc.start()
+        try:
+            trace = run(PATIENT, UNIT, Horizon(240_000.0), seed=5, collect_costs=False,
+                        collect_records=collect)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trace.records == []
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_stop_rule_validation():

@@ -1,4 +1,4 @@
-"""Golden output hashes: report bundles of seven small configs, byte for byte.
+"""Golden output hashes: report bundles of eight small configs, byte for byte.
 
 Each config runs `dynaclear` in process and the SHA-256 of every
 deterministic bundle file is compared with a stored digest, so a refactor
@@ -93,6 +93,19 @@ CONFIGS = {
             "ratios_beta.csv": "46f3cb7c52d2a44409b012d0b657f3eafb8e9d37bbbc084088fbdbb4f2d78bf7",
             "fits.json": "7a5d3143655a2df9e1b9846b329216abef9c3c08e8b73341e28a1044b4b7252f",
             "traces.csv": "f1d170faf9954ab3f2588e5ffadcc29df5b32aebb8bdfd3d5e0131e8923debb6",
+        },
+    ),
+    # unpriced clearings stopped at a horizon: every cost cell in
+    # traces.csv is 0.0, and the last clearing falls before tau_max
+    "power-no-costs-horizon": (
+        ["simulate", "--schedule", "power:0.5", "--rate", "const:1", "--horizon", "300",
+         "--reps", "8", "--seed", "19", "--no-costs", "--tau-grid", "20,40,80,160",
+         "--jobs", "1"],
+        {
+            "ratios_alpha.csv": "283203752709f6dff053e342a4a2899c3e5cf04c7a48da062c3c82f810167ff1",
+            "ratios_beta.csv": "3d18ba7c562edb37dbf9952f2b5c239eabc0407f1c07bcd33cd1cf07b0caef46",
+            "fits.json": "fb76a29e5c5fddead398a8e662d61c63b945473ae3e46166e3d2df12df885535",
+            "traces.csv": "4b0b76384c51cc697234079acbe04aeeea7899ca1458e63728834b8dec22973a",
         },
     ),
     # terminal optimal assignment at the horizon
