@@ -7,12 +7,11 @@ therefore order-independent and re-queryable: asking for the cost of pair
 
 Each key has a plain-int form and a numpy uint64 form that give the same
 bits.  The plain-int forms serve the one-off scalar keys, where a numpy call
-would cost more than the mixing itself: seeds (stream_base, derive_seed) and
-the row key and key offset costs.PoolRates stores once per arriving agent.
-The uint64 forms serve every vectorized block: the arrival blocks, and each
-block's event seeds, pick uniforms and pair draws.  numpy integer arrays
-wrap at 64 bits without a warning (only numpy scalars warn), so they need no
-overflow guard.
+would cost more than the mixing itself: the seeds (stream_base,
+derive_seed).  The uint64 forms serve every vectorized block: the arrival
+blocks, each block's event seeds, pick uniforms and pair draws, and the
+agents' rate terms.  numpy integer arrays wrap at 64 bits without a warning
+(only numpy scalars warn), so they need no overflow guard.
 """
 
 from __future__ import annotations
@@ -112,12 +111,8 @@ def keys2_outer_np(base: int, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
     return keys2_np(base, np.asarray(is_, dtype=np.uint64)[:, None], np.asarray(js, dtype=np.uint64))
 
 
-def u01(h: int) -> float:
-    """Map a 64-bit hash to a uniform strictly inside (0, 1)."""
-    return ((h >> 11) + 0.5) * _TO_UNIT
-
-
 def u01_np(h: np.ndarray) -> np.ndarray:
+    """Map 64-bit hashes to uniforms strictly inside (0, 1)."""
     return ((h >> _SH11).astype(np.float64) + 0.5) * _TO_UNIT
 
 

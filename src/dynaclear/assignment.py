@@ -63,6 +63,19 @@ def _total(arr: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> float:
     return math.fsum(float(arr[i, j]) for i, j in pairs)
 
 
+def _scipy_file(*parts: str) -> str:
+    """Path of a file in the installed scipy package; find_spec imports nothing."""
+    return os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+
+
+def _exec_file(name: str, path: str):
+    """The module in the file at path, run without joining sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_kernel():
     """scipy's compiled `linear_sum_assignment`, without importing scipy.optimize.
 
@@ -70,20 +83,22 @@ def _load_kernel():
     the roughly 50 MB that importing scipy.optimize adds out of every
     process.  Builds that lay scipy out differently get the public import.
     """
-    scipy = importlib.util.find_spec("scipy")
-    path = os.path.join(
-        scipy.submodule_search_locations[0],
-        "optimize",
-        "_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0],
-    )
+    path = _scipy_file("optimize", "_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
     if os.path.isfile(path):
-        spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.linear_sum_assignment
+        return _exec_file("scipy.optimize._lsap", path).linear_sum_assignment
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment
+
+
+def scipy_version() -> str:
+    """scipy.__version__, read from scipy/version.py; other layouts import scipy."""
+    path = _scipy_file("version.py")
+    if os.path.isfile(path):
+        return _exec_file("scipy.version", path).version
+    import scipy
+
+    return scipy.__version__
 
 
 _lsap = _load_kernel()

@@ -19,6 +19,8 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__, _rng, analysis, oracles, validation
 from .analysis import (
     AnalyticEqualSided,
@@ -33,6 +35,7 @@ from .analysis import (
     write_fits_json,
     write_ratio_csv,
 )
+from .assignment import scipy_version
 from .costs import CONSTANT, RateModel
 from .engine import (
     DecayModel,
@@ -384,6 +387,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "versions": {
             "package": __version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
+            "numpy": np.__version__,
+            "scipy": scipy_version(),
         },
         "denominator": denominator_tag,
         "results": {
@@ -395,13 +400,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             "traced_reps": len(traced),
         },
     }
-    for mod_name in ("numpy", "scipy"):
-        mod = sys.modules.get(mod_name)
-        if mod is None:
-            import importlib
-
-            mod = importlib.import_module(mod_name)
-        summary["versions"][mod_name] = mod.__version__
     path = os.path.join(cfg.out, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

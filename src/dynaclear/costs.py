@@ -81,11 +81,30 @@ class RateModel:
         return cls(PRODUCT_FORM, lam_under, lam_over, mean_factor * mean_factor)
 
 
-def _factor(agent_id: int, salt: int, model: RateModel, run_seed: int) -> float:
+def _terms(ids: np.ndarray, client: bool, model: RateModel, run_seed: int) -> np.ndarray:
+    """Each agent's rate term, over a uint64 id array.
+
+    Under uniform_iid a client's term is its row key key1(rate base, id) and
+    a provider's its key offset id * INDEX2, so a pair's rate key mixes their
+    sum; under product_form it is the agent's factor, uniform on
+    [sqrt(lam_under), sqrt(lam_over)].
+    """
+    if model.mode == UNIFORM_IID:
+        if client:
+            return _rng.keys1_np(_rng.stream_base(run_seed, _rng.SALT_RATE), ids)
+        return ids * _rng._U64_INDEX2
+    salt = _rng.SALT_FACTOR_CLIENT if client else _rng.SALT_FACTOR_PROVIDER
     lo = math.sqrt(model.lam_under)
     hi = math.sqrt(model.lam_over)
-    u = _rng.u01(_rng.key1(_rng.stream_base(run_seed, salt), agent_id))
-    return lo + (hi - lo) * u
+    return lo + (hi - lo) * _rng.u01_np(_rng.keys1_np(_rng.stream_base(run_seed, salt), ids))
+
+
+def _combine(model: RateModel, client_terms, provider_terms) -> np.ndarray:
+    """Pair rates from broadcast client and provider terms (see _terms)."""
+    if model.mode == UNIFORM_IID:
+        u = _rng.u01_np(_rng.mix64_np(client_terms + provider_terms))
+        return model.lam_under + (model.lam_over - model.lam_under) * u
+    return np.clip(client_terms * provider_terms, model.lam_under, model.lam_over)
 
 
 def rate_of(client_id, provider_id, model: RateModel, run_seed: int):
@@ -94,18 +113,11 @@ def rate_of(client_id, provider_id, model: RateModel, run_seed: int):
     Elementwise over broadcastable id arrays; plain ids give one float.
     """
     shape = np.broadcast_shapes(np.shape(client_id), np.shape(provider_id))
-    client_ids, provider_ids = _keys(client_id), _keys(provider_id)
     if model.mode == CONSTANT:
         return np.full(shape, model.lam_mean)[()]
-    if model.mode == UNIFORM_IID:
-        base = _rng.stream_base(run_seed, _rng.SALT_RATE)
-        keys = _rng.keys2_np(base, client_ids, provider_ids)
-        rates = model.lam_under + (model.lam_over - model.lam_under) * _rng.u01_np(keys)
-    else:
-        fc = _factors_np(client_ids, _rng.SALT_FACTOR_CLIENT, model, run_seed)
-        fp = _factors_np(provider_ids, _rng.SALT_FACTOR_PROVIDER, model, run_seed)
-        rates = np.clip(fc * fp, model.lam_under, model.lam_over)
-    return rates.reshape(shape)[()]
+    client_terms = _terms(_keys(client_id), True, model, run_seed)
+    provider_terms = _terms(_keys(provider_id), False, model, run_seed)
+    return _combine(model, client_terms, provider_terms).reshape(shape)[()]
 
 
 def _keys(values) -> np.ndarray:
@@ -126,29 +138,11 @@ def draw_pair_cost(
     return float(pair_cost_at_event(client_id, provider_id, model, run_seed, run_seed))
 
 
-def _factors_np(ids: np.ndarray, salt: int, model: RateModel, run_seed: int) -> np.ndarray:
-    lo = math.sqrt(model.lam_under)
-    hi = math.sqrt(model.lam_over)
-    u = _rng.u01_np(_rng.keys1_np(_rng.stream_base(run_seed, salt), ids))
-    return lo + (hi - lo) * u
-
-
 def rate_matrix(
     client_ids: np.ndarray, provider_ids: np.ndarray, model: RateModel, run_seed: int
 ) -> np.ndarray:
     """Rates for the cartesian product, shape (len(clients), len(providers))."""
-    client_ids = np.asarray(client_ids, dtype=np.uint64)
-    provider_ids = np.asarray(provider_ids, dtype=np.uint64)
-    shape = (client_ids.size, provider_ids.size)
-    if model.mode == CONSTANT:
-        return np.full(shape, model.lam_mean)
-    if model.mode == UNIFORM_IID:
-        base = _rng.stream_base(run_seed, _rng.SALT_RATE)
-        u = _rng.u01_np(_rng.keys2_outer_np(base, client_ids, provider_ids))
-        return model.lam_under + (model.lam_over - model.lam_under) * u
-    fc = _factors_np(client_ids, _rng.SALT_FACTOR_CLIENT, model, run_seed)
-    fp = _factors_np(provider_ids, _rng.SALT_FACTOR_PROVIDER, model, run_seed)
-    return np.clip(np.outer(fc, fp), model.lam_under, model.lam_over)
+    return rate_of(np.asarray(client_ids, dtype=np.uint64)[:, None], provider_ids, model, run_seed)
 
 
 def cost_matrix(
@@ -195,22 +189,18 @@ class PoolRates:
     """Pair rates of a heterogeneous run's pools, with the running row sums.
 
     Client slot i and provider slot j stand for the engine's pool_c[i] and
-    pool_p[j]; remove() swap-removes both like the engine's replay.  Each
-    agent's term is computed once, on arrival: under uniform_iid a client's
-    row key key1(rate base, id) and a provider's id * INDEX2 (the pair key
-    mixes their sum), under product_form its factor.  So row(i) and col(j)
-    are one vector op each, equal bit for bit to rate_matrix on the pools.
-    row_sums[i] is client i's total rate to the present providers: the new
-    row's sum on a client arrival, plus the new column on a provider
-    arrival, minus the matched provider's column at a match.
+    pool_p[j]; remove() swap-removes both like the engine's replay.  Agents
+    join by their rate terms, hashed a block at a time by terms(), so row(i)
+    and col(j) are one _combine each, equal bit for bit to rate_matrix on
+    the pools.  row_sums[i] is client i's total rate to the present
+    providers: the new row's sum on a client arrival, plus the new column on
+    a provider arrival, minus the matched provider's column at a match.
     """
 
     def __init__(self, model: RateModel, run_seed: int) -> None:
         self._model = model
         self._seed = run_seed
-        self._uniform = model.mode == UNIFORM_IID
-        self._base = _rng.stream_base(run_seed, _rng.SALT_RATE)
-        dtype = np.uint64 if self._uniform else np.float64
+        dtype = np.uint64 if model.mode == UNIFORM_IID else np.float64
         self._c = np.empty(64, dtype)
         self._p = np.empty(64, dtype)
         self._sums = np.empty(64)
@@ -220,38 +210,29 @@ class PoolRates:
     def row_sums(self) -> np.ndarray:
         return self._sums[: self.m_c]
 
-    def _rates(self, a, b) -> np.ndarray:
-        model = self._model
-        if self._uniform:
-            u = _rng.u01_np(_rng.mix64_np(a + b))
-            return model.lam_under + (model.lam_over - model.lam_under) * u
-        return np.clip(a * b, model.lam_under, model.lam_over)
+    def terms(self, ids, client: bool) -> np.ndarray:
+        """The rate terms of client (or provider) ids, for add_client (add_provider)."""
+        return _terms(np.asarray(ids, dtype=np.uint64), client, self._model, self._seed)
 
     def row(self, i: int) -> np.ndarray:
-        return self._rates(self._c[i], self._p[: self.m_p])
+        return _combine(self._model, self._c[i], self._p[: self.m_p])
 
     def col(self, j: int) -> np.ndarray:
-        return self._rates(self._c[: self.m_c], self._p[j])
+        return _combine(self._model, self._c[: self.m_c], self._p[j])
 
-    def add_client(self, cid: int) -> None:
+    def add_client(self, term) -> None:
         m = self.m_c
         if m == self._c.size:
             self._c, self._sums = np.resize(self._c, 2 * m), np.resize(self._sums, 2 * m)
-        if self._uniform:
-            self._c[m] = _rng.key1(self._base, cid)
-        else:
-            self._c[m] = _factor(cid, _rng.SALT_FACTOR_CLIENT, self._model, self._seed)
+        self._c[m] = term
         self._sums[m] = self.row(m).sum() if self.m_p else 0.0
         self.m_c = m + 1
 
-    def add_provider(self, pid: int) -> None:
+    def add_provider(self, term) -> None:
         m = self.m_p
         if m == self._p.size:
             self._p = np.resize(self._p, 2 * m)
-        if self._uniform:
-            self._p[m] = (pid * _rng._INDEX2) & _rng._MASK
-        else:
-            self._p[m] = _factor(pid, _rng.SALT_FACTOR_PROVIDER, self._model, self._seed)
+        self._p[m] = term
         self.m_p = m + 1
         if self.m_c:
             self._sums[: self.m_c] += self.col(m)

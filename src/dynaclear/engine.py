@@ -21,8 +21,8 @@ are priced at once:
   pools: the block's arrivals are replayed one by one into the pools and one
   costs.PoolRates, and each clearing picks a row by the running row sums of
   the rates, a column by that row's rates and an exponential in the total
-  rate.  Each agent's rate term is hashed once on arrival, so a row or
-  column of rates is one vector mix, and memory stays O(pool).
+  rate.  Rate terms are hashed a block at a time, so a row or column of
+  rates is one vector op, and memory stays O(pool).
 The sampled routes draw the minimum-cost couple from the exact
 exponential-minimum law (pair (i, j) wins with probability lambda_ij over
 the total rate, and the minimum is exponential in that total) instead of
@@ -123,7 +123,7 @@ StopRule = Union[Horizon, MatchTarget]
 class MatchRecord:
     """One match, with the run's cumulative cost and waiting integral just after it.
 
-    Slotted: a traced bundle holds one record per match of each traced run.
+    Slotted: RunTrace.records builds one per match from the run's columns.
     """
 
     k: int
@@ -324,23 +324,27 @@ def _hetero_pick(rates, event_seeds, prices):
 def _replay(pool_c, pool_p, ids, sides, pos, pick, rates=None):
     """Replay one block on the waiting id lists; returns (client ids, provider ids).
 
-    The block's arrivals join the pools, and the pool rates when given, one
-    by one; clearing e fires on arrival pos[e] and swap-removes client slot
-    i and provider slot j, where (i, j) = pick(e).
+    The block's arrivals join the pools one by one, and the pool rates when
+    given by their rate terms, hashed for the whole block at once; clearing
+    e fires on arrival pos[e] and swap-removes client slot i and provider
+    slot j, where (i, j) = pick(e).
     """
     cids: List[int] = []
     pids: List[int] = []
-    fires = iter(pos)
+    fires = iter(pos.tolist())
     at = next(fires, -1)
-    for now, (agent, is_client) in enumerate(zip(ids, sides)):
+    if rates is not None:
+        terms_c = iter(rates.terms(ids[sides == 1], True).tolist())
+        terms_p = iter(rates.terms(ids[sides == 0], False).tolist())
+    for now, (agent, is_client) in enumerate(zip(ids.tolist(), sides.tolist())):
         if is_client:
             pool_c.append(agent)
             if rates is not None:
-                rates.add_client(agent)
+                rates.add_client(next(terms_c))
         else:
             pool_p.append(agent)
             if rates is not None:
-                rates.add_provider(agent)
+                rates.add_provider(next(terms_p))
         if now == at:
             i, j = pick(len(cids))
             cids.append(pool_c[i])
@@ -361,11 +365,13 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
     per arrival.  Each arrival block is one chunk: a searchsorted of the
     goals g(a) places its clearings, and the waiting integral and the
     running cost accrue by sequential cumsums from the carried totals, in
-    arrival order, so every sum keeps the bits of an event-by-event loop.  Between blocks only the counts, the
-    clock, the totals and the ids pairing needs are carried: the waiting
-    ids where pairing is FIFO, and before the first clearing, so that a
-    patient run (f = infinity) returns its whole pools; the pools, and the
-    heterogeneous pool rates, where picks are replayed.
+    arrival order, so every sum keeps the bits of an event-by-event loop.
+    Between blocks only the counts, the clock, the totals and the ids
+    pairing needs are carried: the waiting ids where pairing is FIFO, and
+    before the first clearing, so that a patient run (f = infinity) returns
+    its whole pools; the pools, and the heterogeneous pool rates, where
+    picks are replayed.  Waiting ids are joined only when a block clears or
+    the walk ends, so a patient walk stays linear in its horizon.
     """
     micro = isinstance(cost_mode, RateModel)
     fifo = spec.kind == FCFS or not micro
@@ -381,6 +387,7 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
     clock = wait = cum = 0.0
     goal = math.inf if spec.kind == PATIENT else 1 if unit else threshold(spec, 1)
     wait_c = wait_p = np.empty(0, dtype=np.int64)
+    unjoined = []  # (clients, providers) of the blocks not yet on wait_c, wait_p
     pool_c: List[int] = []
     pool_p: List[int] = []
     blocks: List[_Matches] = []
@@ -444,8 +451,10 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
         # prices, and the pool slots each clearing takes
         ids = np.arange(n + 1, n + t.size + 1)
         if fifo or a == 0:
-            wait_c = np.concatenate((wait_c, ids[s == 1]))
-            wait_p = np.concatenate((wait_p, ids[s == 0]))
+            unjoined.append((ids[s == 1], ids[s == 0]))
+            if fired:
+                wait_c, wait_p = map(np.concatenate, zip((wait_c, wait_p), *unjoined))
+                unjoined = []
         prices = np.zeros(fired)
         # unpriced clearings take the youngest waiting agents
         pick = lambda e: (len(pool_c) - 1, len(pool_p) - 1)
@@ -476,7 +485,7 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
                         rows[0], cols[0] = i, j
         if replay:
             cids, pids = (np.array(side, dtype=np.int64) for side in _replay(
-                pool_c, pool_p, ids.tolist(), s.tolist(), pos.tolist(), pick, rates,
+                pool_c, pool_p, ids, s, pos, pick, rates,
             ))
         else:
             # copies, so that no column keeps a whole waiting queue alive
@@ -520,7 +529,7 @@ def _walk(spec, cost_mode, stop, seed, source, collect_costs, collect_records, a
         tau_grid=tau_grid[: len(tau_waits)], tau_grid_waits=tuple(tau_waits),
         matches=_Matches(*map(np.concatenate, zip(*blocks))) if blocks else None,
     )
-    return trace, wait_c, wait_p
+    return (trace, *map(np.concatenate, zip((wait_c, wait_p), *unjoined)))
 
 
 def patient_pools(spec, cost_mode, stop, seed, source=None, collect_records=False, tau_grid=()):

@@ -1,3 +1,5 @@
+import importlib.metadata
+import json
 import math
 import os
 import subprocess
@@ -154,22 +156,42 @@ def test_padded_route_matches_the_linear_program():
             assert math.isclose(best.total, _k_assignment_lp_total(mat, k), rel_tol=1e-9)
 
 
+def _probe_lines(code):
+    """stdout lines of code run in a fresh interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(dynaclear.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+
+
 def test_solver_loads_the_extension_without_scipy_optimize():
     # the fallback import would pull in all of scipy.optimize and its memory
-    probe = (
+    out = _probe_lines(
         "import sys, dynaclear.assignment as a\n"
         "a.min_k_assignment([[2.0, 1.0], [1.0, 3.0]], 1)\n"
         "print(a._lsap.__self__.__file__)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(dynaclear.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
-    ).stdout.split()
     suffix = "_lsap" + sysconfig.get_config_var("EXT_SUFFIX")
     assert out[0].endswith(os.path.join("scipy", "optimize", suffix))
     assert out[1] == "False"
+
+
+def test_simulate_names_the_scipy_version_without_importing_scipy(tmp_path):
+    # summary.json records the scipy build; importing scipy only to read
+    # its version would cost every run the import's time and memory
+    out = _probe_lines(
+        "import sys\n"
+        "from dynaclear.cli import main\n"
+        "print(main(['simulate', '--schedule', 'greedy', '--matches', '200', '--reps', '4',\n"
+        "            '--seed', '7', '--a-grid', '10,50,200', '--tau-grid', '30,90,270',\n"
+        f"            '--out', {str(tmp_path)!r}]))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert out == ["0", "False"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["versions"]["scipy"] == importlib.metadata.version("scipy")
 
 
 def test_min_edge_equals_one_assignment():

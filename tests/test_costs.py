@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynaclear import _rng
 from dynaclear.costs import (
     PoolRates,
     RateModel,
@@ -123,6 +124,41 @@ def test_matrix_draws_equal_scalar_draws():
                 assert mat[i, j] == draw_pair_cost(c, p, model, 123), (model, c, p)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_rate_matrix_is_rate_of_on_broadcast_ids(model):
+    clients = np.array([1, 5, 2**40, 2**63 + 7], dtype=np.uint64)
+    providers = np.array([3, 1, 2**50], dtype=np.uint64)
+    mat = rate_matrix(clients, providers, model, 77)
+    assert mat.shape == (4, 3)
+    assert mat.tobytes() == rate_of(clients[:, None], providers, model, 77).tobytes()
+    assert rate_matrix([], providers, model, 77).shape == (0, 3)
+
+
+def test_rate_matrix_keeps_the_outer_key_law():
+    # the pair rate law written out from the key kernels: under uniform_iid
+    # the pair key of (client, provider) in the rate stream, under
+    # product_form the clipped outer product of per-agent factors
+    clients = np.arange(1, 41, dtype=np.uint64)
+    providers = np.arange(500, 530, dtype=np.uint64)
+    uniform = RateModel.uniform_iid(0.5, 2.0)
+    u = _rng.u01_np(
+        _rng.keys2_outer_np(_rng.stream_base(77, _rng.SALT_RATE), clients, providers)
+    )
+    expected = uniform.lam_under + (uniform.lam_over - uniform.lam_under) * u
+    assert rate_matrix(clients, providers, uniform, 77).tobytes() == expected.tobytes()
+    product = RateModel.product_form(0.25, 4.0)
+
+    def factors(ids, salt):
+        u = _rng.u01_np(_rng.keys1_np(_rng.stream_base(77, salt), ids))
+        return 0.5 + 1.5 * u
+
+    outer = np.outer(
+        factors(clients, _rng.SALT_FACTOR_CLIENT), factors(providers, _rng.SALT_FACTOR_PROVIDER)
+    )
+    expected = np.clip(outer, product.lam_under, product.lam_over)
+    assert rate_matrix(clients, providers, product, 77).tobytes() == expected.tobytes()
+
+
 def test_event_seed_equal_to_run_seed_reproduces_base_draws():
     model = RateModel.uniform_iid(0.5, 2.0)
     assert pair_cost_at_event(3, 8, model, 55, 55) == draw_pair_cost(3, 8, model, 55)
@@ -142,10 +178,11 @@ def test_event_draws_are_fresh_but_keep_the_rate():
 
 
 def _replay_pool_rates(model, seed, rng, steps):
-    """Random arrivals and matches on a PoolRates and on a reference that
-    keeps the row sums from rate_matrix (np.append of the new row's sum, +=
-    the new column, -= the matched column, then the swap-remove); yields
-    (state, clients, providers, reference row sums) after every step."""
+    """Random arrivals and matches on a PoolRates, fed each agent's term
+    from PoolRates.terms, and on a reference that keeps the row sums from
+    rate_matrix (np.append of the new row's sum, += the new column, -= the
+    matched column, then the swap-remove); yields (state, clients,
+    providers, reference row sums) after every step."""
     state = PoolRates(model, seed)
     pool_c, pool_p = [], []
     ref = np.empty(0)
@@ -167,12 +204,12 @@ def _replay_pool_rates(model, seed, rng, steps):
         elif rng.random() < 0.5:
             s = rate_matrix([agent], pool_p, model, seed).sum() if pool_p else 0.0
             ref = np.append(ref, s)
-            state.add_client(agent)
+            state.add_client(state.terms([agent], True)[0])
             pool_c.append(agent)
         else:
             if pool_c:
                 ref += rate_matrix(pool_c, [agent], model, seed)[:, 0]
-            state.add_provider(agent)
+            state.add_provider(state.terms([agent], False)[0])
             pool_p.append(agent)
         yield state, pool_c, pool_p, ref
 

@@ -319,6 +319,23 @@ def test_patient_records_cost_no_memory_beyond_the_pools():
     assert peaks[1] < 1.5 * peaks[0]
 
 
+def test_patient_walk_returns_its_blocks_in_arrival_order():
+    # a patient walk never clears, so its pools are every client and every
+    # provider of the stream's blocks up to the horizon, in arrival order
+    horizon = 960_000.0
+    trace, clients, providers = engine.patient_pools(PATIENT, UNIT, Horizon(horizon), seed=3)
+    stream = PoissonStream(3)
+    blocks = []
+    while not blocks or blocks[-1][0][-1] <= horizon:
+        blocks.append(stream.take_block())
+    sides = np.concatenate([side[times <= horizon] for times, side in blocks])
+    ids = np.arange(1, sides.size + 1)
+    assert sides.size > 900_000
+    assert clients == ids[sides == 1].tolist()
+    assert providers == ids[sides == 0].tolist()
+    assert (trace.summary.n_c, trace.summary.n_p) == (len(clients), len(providers))
+
+
 def test_stop_rule_validation():
     with pytest.raises(ValueError):
         Horizon(0.0)
